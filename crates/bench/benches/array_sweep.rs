@@ -5,7 +5,8 @@
 //! one extra `array_sweep_{rows}x{cols}` entry.
 //!
 //! Each iteration solves the DC operating point, extracts the full K×K
-//! coupling-capacitance matrix through one shared AC factorization, and
+//! coupling-capacitance matrix against one prepared AC operator (at these
+//! sizes `Auto` shares one ILU(0) across K BiCGSTAB solves), and
 //! runs the aggressor/victim frequency sweep — the deterministic path of
 //! the `tsv_array` binary, with the stochastic stage excluded so the
 //! timings isolate the per-mesh solver cost from sampling noise.

@@ -16,6 +16,8 @@
 //!   to a 1-point sweep with a warning instead of panicking.
 //! * `VAEM_SWEEP_TOL=<t>` — adaptive refinement tolerance (default 0.02).
 //! * `VAEM_THREADS=<n>` — worker threads of the sample fan-out.
+//! * `VAEM_FAULTS=<plan>` — fault-injection plan; each pass prints its
+//!   containment record as a `health:` line.
 
 use vaem::experiments::metalplug::{MetalPlugExperiment, TableOneRow};
 use vaem::{AdaptiveSweepOptions, PointOrigin};
@@ -46,6 +48,7 @@ fn main() {
         result.ac_solve_count(),
         format_seconds(result.seconds)
     );
+    println!("health: {}", result.health.summary());
     println!();
     let q = &result.quantities[0];
     println!(
@@ -102,6 +105,7 @@ fn main() {
             },
             format_seconds(sweep.seconds)
         );
+        println!("health: {}", sweep.health.summary());
         let aq = &sweep.quantities[0];
         println!(
             "{:>12}  {:>14}  {:>14}  {:>12}  {:>8}",

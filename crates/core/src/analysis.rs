@@ -13,6 +13,7 @@ use crate::health::{classify, HealthReport, QuarantinedSample, RecoveredSample, 
 use crate::report::ComparisonTable;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -24,11 +25,11 @@ use vaem_mesh::{MeshError, NodeId, Structure};
 use vaem_numeric::dense::DMatrix;
 use vaem_numeric::stats::RunningStats;
 use vaem_numeric::NumericError;
-use vaem_parallel::faults::{self, FaultPlan, FaultSite, FaultStage};
-use vaem_parallel::{par_map, par_map_indices, par_map_mut};
+use vaem_parallel::faults::{self, FaultPlan, FaultSite, FaultStage, ScopeGuard};
+use vaem_parallel::par_map_mut;
 use vaem_physics::DopingProfile;
 use vaem_sparse::SolverKind;
-use vaem_stochastic::{SparseCollocation, SummaryStats};
+use vaem_stochastic::{PolynomialChaos, SparseCollocation, SummaryStats};
 use vaem_variation::{
     apply_roughness, covariance_matrix, standard_normal_vector, CorrelationKernel,
     FacetPerturbation, FullRankGaussian, Pfa, VariableReduction, Wpfa,
@@ -231,7 +232,7 @@ pub struct SweepQuantity {
 /// Result of a swept-frequency variational analysis: the configured output
 /// quantities — capacitance entries or interface currents — resolved over a
 /// frequency grid, with SSCM statistics per grid point.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FrequencySweepResult {
     /// The swept frequency grid (Hz), in input order.
     pub frequencies: Vec<f64>,
@@ -288,6 +289,18 @@ impl Default for AdaptiveSweepOptions {
     }
 }
 
+impl AdaptiveSweepOptions {
+    /// A fixed grid of `points` points: a tolerance nothing can violate,
+    /// so the engine runs wave 0 only.
+    fn fixed(points: usize) -> Self {
+        Self {
+            rel_tolerance: f64::INFINITY,
+            max_points: points,
+            max_depth: 0,
+        }
+    }
+}
+
 /// Where one grid point of an adaptive sweep came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PointOrigin {
@@ -315,7 +328,7 @@ impl PointOrigin {
 
 /// Result of an adaptive frequency sweep: a [`FrequencySweepResult`] over
 /// the refined grid (frequencies ascending) plus per-point provenance.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AdaptiveSweepResult {
     /// The spectra over the final (refined) grid, ascending in frequency.
     pub sweep: FrequencySweepResult,
@@ -345,28 +358,39 @@ impl AdaptiveSweepResult {
     }
 }
 
-/// Persistent per-sample solver state of an adaptive sweep: the perturbed
-/// problem is built once and the DC operating point is solved once (first
-/// wave); every later refinement wave only re-prepares the AC sweep
-/// operator against the shared topology and pays a numeric refactorization
-/// plus a warm-started solve per new point.
-struct SampleState {
-    structure: Structure,
+/// One sample's perturbed problem plus, once solved, its DC operating
+/// point. Kept across waves only when a later refinement wave can use it:
+/// every later wave then re-prepares the AC sweep operator against the
+/// shared topology and pays a numeric refactorization plus a warm-started
+/// solve per new point.
+struct SampleState<'a> {
+    /// Borrowed for the nominal, perturbed (owned) for every sample.
+    structure: Cow<'a, Structure>,
     doping: DopingProfile,
     dc: Option<DcSolution>,
 }
 
-/// One grid point of the adaptive refinement loop (the bisection depth
-/// lives on the origin).
+/// One sample's place in a fanned-out stage, carried across its waves.
+#[derive(Default)]
+struct Slot<'a> {
+    /// The sample's state, kept between waves only while refining.
+    state: Option<SampleState<'a>>,
+    /// Recovered by a retry: every later wave evaluates the sample with
+    /// the recovery options at fault attempt 1, so it cannot oscillate
+    /// between the fast path and the rescue.
+    escalated: bool,
+    /// Quarantined: never solved again.
+    quarantined: bool,
+}
+
+/// One grid point of the engine (the bisection depth lives on the origin).
 struct PointRecord {
     frequency: f64,
     origin: PointOrigin,
     /// Nominal outputs, one per quantity.
     nominal: Vec<f64>,
-    /// SSCM means, one per quantity.
-    mean: Vec<f64>,
-    /// SSCM standard deviations, one per quantity.
-    std: Vec<f64>,
+    /// SSCM chaos expansions, one per quantity.
+    pces: Vec<PolynomialChaos>,
 }
 
 /// Monotone interpolation coordinate of the refinement indicator:
@@ -418,13 +442,13 @@ fn refinement_indicator(lo: &PointRecord, mid: &PointRecord, hi: &PointRecord) -
             .abs()
             .max(mid.nominal[q].abs())
             .max(hi.nominal[q].abs())
-            .max(lo.mean[q].abs())
-            .max(mid.mean[q].abs())
-            .max(hi.mean[q].abs())
+            .max(lo.pces[q].mean().abs())
+            .max(mid.pces[q].mean().abs())
+            .max(hi.pces[q].mean().abs())
             .max(1e-300);
         let defect = (mid.nominal[q] - lerp(lo.nominal[q], hi.nominal[q])).abs()
-            + (mid.mean[q] - lerp(lo.mean[q], hi.mean[q])).abs()
-            + (mid.std[q] - lerp(lo.std[q], hi.std[q])).abs();
+            + (mid.pces[q].mean() - lerp(lo.pces[q].mean(), hi.pces[q].mean())).abs()
+            + (mid.pces[q].std() - lerp(lo.pces[q].std(), hi.pces[q].std())).abs();
         worst = worst.max(defect / scale);
     }
     worst
@@ -438,6 +462,63 @@ fn flag_interval(flagged: &mut Vec<(usize, f64)>, left: usize, indicator: f64) {
     } else {
         flagged.push((left, indicator));
     }
+}
+
+/// Plans refinement wave `wave` over the current (ascending) grid: flags
+/// both intervals around every interior point whose indicator exceeds the
+/// tolerance, bisects the flagged intervals that have not reached the
+/// depth cap and can still be split, and spends what is left of the point
+/// budget on the worst offenders. Returns the new points ascending in frequency — the
+/// warm starts then walk the spectrum monotonically — and whether the
+/// budget cut the wave short.
+fn next_wave(
+    grid: &[PointRecord],
+    options: &AdaptiveSweepOptions,
+    wave: usize,
+) -> (Vec<(f64, PointOrigin)>, bool) {
+    let mut flagged: Vec<(usize, f64)> = Vec::new();
+    for i in 1..grid.len().saturating_sub(1) {
+        let indicator = refinement_indicator(&grid[i - 1], &grid[i], &grid[i + 1]);
+        if indicator > options.rel_tolerance {
+            flag_interval(&mut flagged, i - 1, indicator);
+            flag_interval(&mut flagged, i, indicator);
+        }
+    }
+    // (midpoint frequency, depth, indicator) per splittable interval.
+    let mut candidates: Vec<(f64, usize, f64)> = flagged
+        .into_iter()
+        .filter_map(|(left, indicator)| {
+            let (lo, hi) = (&grid[left], &grid[left + 1]);
+            let depth = lo.origin.depth().max(hi.origin.depth());
+            if depth >= options.max_depth {
+                return None;
+            }
+            let mid = midpoint_frequency(lo.frequency, hi.frequency);
+            // Floating-point exhaustion: the midpoint no longer separates
+            // the endpoints.
+            if !(mid > lo.frequency && mid < hi.frequency) {
+                return None;
+            }
+            Some((mid, depth + 1, indicator))
+        })
+        .collect();
+    let allowed = options.max_points.saturating_sub(grid.len());
+    let exhausted = candidates.len() > allowed;
+    if exhausted {
+        // Spend the remaining budget on the worst offenders.
+        candidates.sort_by(|a, b| {
+            b.2.partial_cmp(&a.2)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.0.total_cmp(&b.0))
+        });
+        candidates.truncate(allowed);
+    }
+    candidates.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let points = candidates
+        .into_iter()
+        .map(|(frequency, depth, _)| (frequency, PointOrigin::Refined { wave, depth }))
+        .collect();
+    (points, exhausted)
 }
 
 /// Per-group reductions plus their summaries.
@@ -484,6 +565,37 @@ impl VariationGroup {
             GroupKind::Geometry { nodes, .. } => nodes.len(),
             GroupKind::Doping { nodes } => nodes.len(),
             GroupKind::ViaParams { params, .. } => *params,
+        }
+    }
+
+    /// Appends the sample inputs of one full variation vector `xi` of
+    /// this group.
+    fn sample_into(&self, xi: &[f64], input: &mut SampleInput) {
+        match &self.kind {
+            GroupKind::Geometry {
+                facet_names,
+                slices,
+                ..
+            } => {
+                for (name, &(lo, hi)) in facet_names.iter().zip(slices.iter()) {
+                    input
+                        .facet_offsets
+                        .push((name.clone(), xi[lo..hi].to_vec()));
+                }
+            }
+            GroupKind::Doping { nodes } => {
+                input
+                    .doping_deltas
+                    .extend(nodes.iter().copied().zip(xi.iter().copied()));
+            }
+            GroupKind::ViaParams { facets, .. } => {
+                for (name, node_count, signs) in facets {
+                    let offset: f64 = signs.iter().zip(xi.iter()).map(|(s, x)| s * x).sum();
+                    input
+                        .facet_offsets
+                        .push((name.clone(), vec![offset; *node_count]));
+                }
+            }
         }
     }
 
@@ -546,21 +658,23 @@ impl VariationalAnalysis {
         doping_deltas: &[(NodeId, f64)],
     ) -> Result<Vec<f64>, AnalysisError> {
         let topology = Arc::new(SolverTopology::build(&self.structure)?);
-        self.evaluate_sample_with(
+        let mut state = self.sample_state(facet_offsets, doping_deltas)?;
+        self.evaluate_state(
             &topology,
-            facet_offsets,
-            doping_deltas,
+            &mut state,
+            &[self.config.frequency],
             self.sample_solver_options(),
+            None,
         )
     }
 
     /// Builds the perturbed structure and doping profile of one sample.
     // vaem-lint: cold per-sample problem construction (mesh, doping, topology)
-    fn sample_problem(
+    fn sample_state<'s>(
         &self,
         facet_offsets: &[(String, Vec<f64>)],
         doping_deltas: &[(NodeId, f64)],
-    ) -> Result<(Structure, DopingProfile), AnalysisError> {
+    ) -> Result<SampleState<'s>, AnalysisError> {
         if faults::armed(FaultSite::Mesh) {
             return Err(AnalysisError::Mesh(MeshError::DegenerateConfig {
                 detail: "injected fault at site 'mesh'".to_string(),
@@ -591,7 +705,11 @@ impl VariationalAnalysis {
 
         // Perturbed doping.
         let doping = self.nominal_doping().perturbed(doping_deltas);
-        Ok((structure, doping))
+        Ok(SampleState {
+            structure: Cow::Owned(structure),
+            doping,
+            dc: None,
+        })
     }
 
     /// Solver options for the perturbed-sample workers: identical to the
@@ -621,66 +739,29 @@ impl VariationalAnalysis {
         }
     }
 
-    /// [`VariationalAnalysis::evaluate_sample`] against a shared
-    /// [`SolverTopology`] (terminal labelling, adjacency and sparsity
-    /// patterns built once per analysis, not once per sample).
-    fn evaluate_sample_with(
-        &self,
-        topology: &Arc<SolverTopology>,
-        facet_offsets: &[(String, Vec<f64>)],
-        doping_deltas: &[(NodeId, f64)],
-        options: SolverOptions,
-    ) -> Result<Vec<f64>, AnalysisError> {
-        let (structure, doping) = self.sample_problem(facet_offsets, doping_deltas)?;
-        // vaem-lint: allow(H2) Arc refcount bump handing the shared topology to the solver
-        let solver = CoupledSolver::with_topology(&structure, &doping, options, topology.clone())?;
-        let dc = solver.solve_dc()?;
-        self.extract_outputs(&solver, &dc)
-    }
-
-    /// Evaluates one sample across a whole frequency grid with the
-    /// sweep-aware AC operator (one assembly + symbolic factorization, a
-    /// numeric refactorization per point, warm-started solves).
+    /// The one per-sample evaluator: solves the state's DC operating point
+    /// (or reuses the cached one), prepares one sweep-aware AC operator
+    /// against the shared [`SolverTopology`] and solves every frequency
+    /// with [`AcSweepOperator::solve_at`](vaem_fvm::AcSweepOperator::solve_at)
+    /// — a numeric refactorization and a solve warm-started from the
+    /// previous point. On a fresh operator the first `solve_at` is exactly
+    /// [`CoupledSolver::solve_ac`], so a one-point evaluation is the
+    /// single-frequency solve bit for bit.
     ///
     /// Returns the outputs flattened frequency-major:
-    /// `[f0 q0, f0 q1, ..., f1 q0, ...]`.
-    fn evaluate_spectrum_with(
-        &self,
-        topology: &Arc<SolverTopology>,
-        facet_offsets: &[(String, Vec<f64>)],
-        doping_deltas: &[(NodeId, f64)],
-        frequencies: &[f64],
-        options: SolverOptions,
-    ) -> Result<Vec<f64>, AnalysisError> {
-        let (structure, doping) = self.sample_problem(facet_offsets, doping_deltas)?;
-        // vaem-lint: allow(H2) Arc refcount bump handing the shared topology to the solver
-        let solver = CoupledSolver::with_topology(&structure, &doping, options, topology.clone())?;
-        let dc = solver.solve_dc()?;
-        let mut operator = solver.prepare_ac_sweep(&dc)?;
-        let sweep = operator.sweep_terminal(frequencies, self.driven_terminal())?;
-        // vaem-lint: allow(H1) per-sample output buffer, sized once per evaluation
-        let mut out = Vec::with_capacity(frequencies.len() * self.config.quantities.len());
-        for ac in &sweep {
-            out.extend(self.extract_outputs_from(&solver, ac)?);
-        }
-        Ok(out)
-    }
-
-    /// Evaluates one persistent sample state over a list of frequencies
-    /// (one refinement wave): the DC operating point is solved on the first
-    /// call and cached; every call re-prepares the AC sweep operator
-    /// against the shared topology (seeded symbolic phase) and pays a
-    /// numeric refactorization plus a warm-started solve per point.
+    /// `[f0 q0, f0 q1, ..., f1 q0, ...]`. When `weights` is given, the
+    /// wPFA influence weights of the first point are written into it.
     ///
-    /// Returns the outputs flattened frequency-major, like
-    /// [`VariationalAnalysis::evaluate_spectrum_with`]; for a fresh state
-    /// and the same grid the two paths produce bit-identical outputs.
+    /// The cached DC solution goes back into the state only when the whole
+    /// evaluation succeeds: a failed one leaves no operating point behind,
+    /// so the recovery retry re-solves instead of trusting a poisoned one.
     fn evaluate_state(
         &self,
         topology: &Arc<SolverTopology>,
-        state: &mut SampleState,
+        state: &mut SampleState<'_>,
         frequencies: &[f64],
         options: SolverOptions,
+        mut weights: Option<&mut Vec<f64>>,
     ) -> Result<Vec<f64>, AnalysisError> {
         let solver = CoupledSolver::with_topology(
             &state.structure,
@@ -689,288 +770,40 @@ impl VariationalAnalysis {
             // vaem-lint: allow(H2) Arc refcount bump handing the shared topology to the solver
             topology.clone(),
         )?;
-        // Take the cached DC operating point (solving it on the first call)
-        // and put it back once the sweep operator holds its own data; a
-        // failed DC solve leaves the cache empty, so a recovery retry
-        // re-solves instead of trusting a poisoned operating point.
         let dc = match state.dc.take() {
             Some(dc) => dc,
             None => solver.solve_dc()?,
         };
-        let operator = solver.prepare_ac_sweep(&dc);
-        state.dc = Some(dc);
-        let mut operator = operator?;
+        let mut operator = solver.prepare_ac_sweep(&dc)?;
         // vaem-lint: allow(H1) per-sample output buffer, sized once per evaluation
-        let mut out = Vec::with_capacity(frequencies.len() * self.config.quantities.len());
+        let mut outputs = Vec::with_capacity(frequencies.len() * self.config.quantities.len());
         for &frequency in frequencies {
             let ac = operator.solve_at(frequency, self.driven_terminal())?;
-            out.extend(self.extract_outputs_from(&solver, &ac)?);
-        }
-        Ok(out)
-    }
-
-    /// Installs the fault-injection scope for one per-sample evaluation
-    /// when a plan is active (`None` plan → no scope, zero overhead). The
-    /// guard is created inside the worker closure keyed by the sample
-    /// index, so injection is independent of worker timing.
-    fn fault_scope(
-        plan: &Option<Arc<FaultPlan>>,
-        stage: FaultStage,
-        index: usize,
-        attempt: u32,
-    ) -> Option<faults::ScopeGuard> {
-        plan.as_ref()
-            // vaem-lint: allow(H2) Arc refcount bump installing the fault scope
-            .map(|p| faults::scope(p.clone(), stage, index, attempt))
-    }
-
-    /// Runs the nominal evaluation with containment: one recovery retry
-    /// with the escalated solver options on failure. A nominal failure that
-    /// survives the retry is fatal — every downstream stage (weights,
-    /// reduction, quarantine patching) needs the nominal solution.
-    fn contain_nominal<T>(
-        &self,
-        health: &mut HealthReport,
-        plan: &Option<Arc<FaultPlan>>,
-        first_options: SolverOptions,
-        mut eval: impl FnMut(SolverOptions) -> Result<T, AnalysisError>,
-    ) -> Result<T, AnalysisError> {
-        let first = {
-            let _guard = Self::fault_scope(plan, FaultStage::Nominal, 0, 0);
-            eval(first_options)
-        };
-        match first {
-            Ok(value) => Ok(value),
-            Err(first) => {
-                let kind = classify(&first);
-                health.counts.record(kind);
-                let retry = {
-                    let _guard = Self::fault_scope(plan, FaultStage::Nominal, 0, 1);
-                    eval(self.recovery_solver_options())
-                };
-                match retry {
-                    Ok(value) => {
-                        health.recovered.push(RecoveredSample {
-                            stage: SampleStage::Nominal,
-                            index: 0,
-                            kind,
-                        });
-                        Ok(value)
-                    }
-                    Err(second) => Err(second),
-                }
+            if let Some(weights) = weights.take() {
+                *weights = self.nominal_weights(&ac)?;
             }
+            outputs.extend(self.extract_outputs_from(&solver, &ac)?);
         }
+        state.dc = Some(dc);
+        Ok(outputs)
     }
 
-    /// Resolves one fan-out's per-sample outcomes at its deterministic
-    /// barrier: every failed sample gets a single serial recovery retry
-    /// (the `retry` closure — escalated solver, fresh fault scope at
-    /// attempt 1); samples whose retry also fails are quarantined and
-    /// yield `None`. Quarantines, recoveries and taxonomy counts land on
-    /// `health` in ascending sample order — never in worker-timing order —
-    /// so the report is bit-identical for any thread count.
-    fn contain_stage(
-        health: &mut HealthReport,
-        stage: SampleStage,
-        attempts: Vec<Result<Vec<f64>, AnalysisError>>,
-        mut retry: impl FnMut(usize) -> Result<Vec<f64>, AnalysisError>,
-    ) -> Vec<Option<Vec<f64>>> {
-        attempts
-            .into_iter()
-            .enumerate()
-            .map(|(index, attempt)| match attempt {
-                Ok(outputs) => Some(outputs),
-                Err(first) => {
-                    let kind = classify(&first);
-                    health.counts.record(kind);
-                    match retry(index) {
-                        Ok(outputs) => {
-                            health
-                                .recovered
-                                .push(RecoveredSample { stage, index, kind });
-                            Some(outputs)
-                        }
-                        Err(second) => {
-                            health.quarantined.push(QuarantinedSample {
-                                stage,
-                                index,
-                                kind: classify(&second),
-                                detail: second.to_string(),
-                            });
-                            None
-                        }
-                    }
-                }
-            })
-            .collect()
-    }
-
-    /// Fails the run once the quarantine count exceeds the configured
-    /// fraction of the attempted samples. Checked at the stage barriers —
-    /// quarantine counts only grow, so the first check that trips aborts.
-    fn check_quarantine_budget(&self, health: &HealthReport) -> Result<(), AnalysisError> {
-        let quarantined = health.quarantined.len();
-        let allowed = self.config.quarantine_budget * health.samples_total as f64;
-        if quarantined > 0 && quarantined as f64 > allowed {
-            return Err(AnalysisError::QuarantineExceeded {
-                quarantined,
-                total: health.samples_total,
-                budget: self.config.quarantine_budget,
-            });
-        }
-        Ok(())
-    }
-
-    /// [`VariationalAnalysis::contain_stage`] for one adaptive-sweep wave:
-    /// failed samples get their serial recovery retry against the
-    /// persistent [`SampleState`] and are **escalated** — all later waves
-    /// evaluate them with the recovery solver at attempt 1, so a recovered
-    /// sample cannot oscillate between the fast path and the rescue.
-    /// Samples whose retry also fails are quarantined: this wave's outputs
-    /// are patched with the nominal spectrum (`nominal_wave`) and later
-    /// waves fast-path them without solving.
-    #[allow(clippy::too_many_arguments)]
-    fn contain_wave(
-        &self,
-        health: &mut HealthReport,
-        plan: &Option<Arc<FaultPlan>>,
-        topology: &Arc<SolverTopology>,
-        states: &mut [SampleState],
-        escalated: &mut [bool],
-        quarantined: &mut [bool],
-        wave_freqs: &[f64],
-        nominal_wave: &[f64],
-        attempts: Vec<Result<Vec<f64>, AnalysisError>>,
-    ) -> Vec<Vec<f64>> {
-        attempts
-            .into_iter()
-            .enumerate()
-            .map(|(i, attempt)| match attempt {
-                Ok(outputs) => outputs,
-                Err(first) => {
-                    let kind = classify(&first);
-                    health.counts.record(kind);
-                    // The failed attempt may have consumed the cached DC
-                    // operating point; `evaluate_state` re-solves it then.
-                    let retry = {
-                        let _guard = Self::fault_scope(plan, FaultStage::Sscm, i, 1);
-                        self.evaluate_state(
-                            topology,
-                            &mut states[i],
-                            wave_freqs,
-                            self.recovery_solver_options(),
-                        )
-                    };
-                    match retry {
-                        Ok(outputs) => {
-                            health.recovered.push(RecoveredSample {
-                                stage: SampleStage::Sscm,
-                                index: i,
-                                kind,
-                            });
-                            escalated[i] = true;
-                            outputs
-                        }
-                        Err(second) => {
-                            health.quarantined.push(QuarantinedSample {
-                                stage: SampleStage::Sscm,
-                                index: i,
-                                kind: classify(&second),
-                                detail: second.to_string(),
-                            });
-                            quarantined[i] = true;
-                            nominal_wave.to_vec()
-                        }
-                    }
-                }
-            })
-            .collect()
-    }
-
-    /// Squared magnitude of one sample's variation inputs — the
-    /// deterministic "how far from nominal" measure used to pick the donor
-    /// republishing representative.
-    fn excursion_magnitude(input: &SampleInput) -> f64 {
-        let geometry: f64 = input
-            .facet_offsets
-            .iter()
-            .flat_map(|(_, offsets)| offsets.iter())
-            .map(|x| x * x)
-            .sum();
-        let doping: f64 = input.doping_deltas.iter().map(|(_, d)| d * d).sum();
-        geometry + doping
-    }
-
-    /// The collocation input with the widest excursion (strictly greatest
-    /// magnitude wins, earliest index breaks ties) — deterministic in the
-    /// input order, never in worker timing.
+    /// The collocation input with the widest excursion: the greatest
+    /// squared magnitude of its variation inputs, the deterministic "how far
+    /// from nominal" measure that picks the donor republishing
+    /// representative. Strictly greatest wins and the earliest index breaks
+    /// ties, so the choice follows the input order, never worker timing.
     fn widest_excursion(inputs: &[SampleInput]) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
         for (i, input) in inputs.iter().enumerate() {
-            let magnitude = Self::excursion_magnitude(input);
+            let offsets = input.facet_offsets.iter().flat_map(|(_, o)| o);
+            let magnitude = offsets.map(|x| x * x).sum::<f64>()
+                + input.doping_deltas.iter().map(|(_, d)| d * d).sum::<f64>();
             if best.is_none_or(|(_, b)| magnitude > b) {
                 best = Some((i, magnitude));
             }
         }
         best.map(|(i, _)| i)
-    }
-
-    /// Re-solves one representative sample with publishing enabled so that
-    /// donor slots cleared by the refresh policy are refilled with pivot
-    /// structures recorded from the current excursion, with the AC donor
-    /// recorded at `ac_frequency` — the operating point the upcoming stage
-    /// actually solves at, not the (documented-as-unused) single-point
-    /// configuration frequency. Called only at deterministic barriers
-    /// (between sweep stages / refinement waves), never from worker
-    /// threads.
-    fn republish_donors_from(
-        &self,
-        topology: &Arc<SolverTopology>,
-        input: &SampleInput,
-        ac_frequency: f64,
-    ) -> Result<(), AnalysisError> {
-        let (structure, doping) =
-            self.sample_problem(&input.facet_offsets, &input.doping_deltas)?;
-        let solver = CoupledSolver::with_topology(
-            &structure,
-            &doping,
-            self.config.solver.clone(),
-            topology.clone(),
-        )?;
-        let dc = solver.solve_dc()?;
-        // One AC prepare republishes the AC donor alongside the DC one.
-        let _ = solver.prepare_ac(&dc, ac_frequency)?;
-        Ok(())
-    }
-
-    /// [`VariationalAnalysis::republish_donors_from`] against an adaptive
-    /// sweep's persistent [`SampleState`]: the state's cached DC operating
-    /// point is reused (solved only if a prior wave has not already), so a
-    /// mid-refinement AC-donor refresh costs one AC prepare instead of a
-    /// full Newton solve.
-    fn republish_ac_donor_from_state(
-        &self,
-        topology: &Arc<SolverTopology>,
-        state: &mut SampleState,
-        ac_frequency: f64,
-    ) -> Result<(), AnalysisError> {
-        let solver = CoupledSolver::with_topology(
-            &state.structure,
-            &state.doping,
-            self.config.solver.clone(),
-            topology.clone(),
-        )?;
-        // Same take/put-back as `evaluate_state`: no panic path, and a
-        // failed solve leaves the cache empty for the next attempt.
-        let dc = match state.dc.take() {
-            Some(dc) => dc,
-            None => solver.solve_dc()?,
-        };
-        let prepared = solver.prepare_ac(&dc, ac_frequency);
-        state.dc = Some(dc);
-        let _ = prepared?;
-        Ok(())
     }
 
     /// Validates a frequency grid for this analysis: finite, non-negative
@@ -997,45 +830,12 @@ impl VariationalAnalysis {
         Ok(())
     }
 
-    /// A well-formed zero-point sweep result (labelled quantities with
-    /// empty spectra) for callers handing in an empty grid.
-    fn empty_sweep_result(&self, start: Instant) -> FrequencySweepResult {
-        FrequencySweepResult {
-            frequencies: Vec::new(),
-            quantities: self
-                .config
-                .quantities
-                .labels()
-                .into_iter()
-                .map(|label| SweepQuantity {
-                    label,
-                    nominal: Vec::new(),
-                    sscm: Vec::new(),
-                })
-                .collect(),
-            reductions: Vec::new(),
-            collocation_runs: 0,
-            seconds: start.elapsed().as_secs_f64(),
-            seed_reuse: SeedReuseStats::default(),
-            health: HealthReport::default(),
-        }
-    }
-
     /// The terminal driven with 1 V by the AC stage of every evaluation.
     fn driven_terminal(&self) -> &str {
         match &self.config.quantities {
             QuantitySet::InterfaceCurrent { terminal } => terminal,
             QuantitySet::CapacitanceColumn { driven, .. } => driven,
         }
-    }
-
-    fn extract_outputs(
-        &self,
-        solver: &CoupledSolver<'_>,
-        dc: &DcSolution,
-    ) -> Result<Vec<f64>, AnalysisError> {
-        let ac = solver.solve_ac(dc, self.driven_terminal(), self.config.frequency)?;
-        self.extract_outputs_from(solver, &ac)
     }
 
     /// Reads the configured quantities off an already-solved AC solution
@@ -1233,6 +1033,7 @@ impl VariationalAnalysis {
 
     /// Influence weights of every node, from the nominal AC solution
     /// (w_i = |J⁰_i|·nodeVol_i, the paper's eq. 9).
+    // vaem-lint: cold nominal-only weight extraction, once per analysis
     fn nominal_weights(&self, ac: &AcSolution) -> Result<Vec<f64>, AnalysisError> {
         let mesh = &self.structure.mesh;
         let mut weights = vec![0.0_f64; mesh.node_count()];
@@ -1290,38 +1091,6 @@ impl VariationalAnalysis {
         Ok(reduction)
     }
 
-    /// Converts a full variation vector of one group into the sample inputs.
-    fn group_sample(
-        &self,
-        group: &VariationGroup,
-        xi: &[f64],
-        facet_offsets: &mut Vec<(String, Vec<f64>)>,
-        doping_deltas: &mut Vec<(NodeId, f64)>,
-    ) {
-        match &group.kind {
-            GroupKind::Geometry {
-                facet_names,
-                slices,
-                ..
-            } => {
-                for (name, &(lo, hi)) in facet_names.iter().zip(slices.iter()) {
-                    facet_offsets.push((name.clone(), xi[lo..hi].to_vec()));
-                }
-            }
-            GroupKind::Doping { nodes } => {
-                for (&node, &delta) in nodes.iter().zip(xi.iter()) {
-                    doping_deltas.push((node, delta));
-                }
-            }
-            GroupKind::ViaParams { facets, .. } => {
-                for (name, node_count, signs) in facets {
-                    let offset: f64 = signs.iter().zip(xi.iter()).map(|(s, x)| s * x).sum();
-                    facet_offsets.push((name.clone(), vec![offset; *node_count]));
-                }
-            }
-        }
-    }
-
     /// Builds every per-group reduction plus its summary.
     fn build_reductions(
         &self,
@@ -1358,13 +1127,7 @@ impl VariationalAnalysis {
                 for (group, reduction) in groups.iter().zip(reductions.iter()) {
                     let d = reduction.reduced_dim();
                     let zeta = &point[offset..offset + d];
-                    let xi = reduction.expand(zeta);
-                    self.group_sample(
-                        group,
-                        &xi,
-                        &mut input.facet_offsets,
-                        &mut input.doping_deltas,
-                    );
+                    group.sample_into(&reduction.expand(zeta), &mut input);
                     offset += d;
                 }
                 input
@@ -1375,195 +1138,76 @@ impl VariationalAnalysis {
     /// Runs the complete workflow: nominal solve, wPFA/PFA reduction, SSCM
     /// and the Monte-Carlo reference.
     ///
+    /// This is the wave engine on a one-point grid at the configured
+    /// `frequency`, then a donor-refresh barrier and the Monte-Carlo stage,
+    /// which goes through the same evaluator and containment as the SSCM
+    /// samples.
+    ///
     /// # Errors
     /// Propagates solver, reduction and fitting failures.
     pub fn run(&self) -> Result<AnalysisResult, AnalysisError> {
-        let groups = self.build_groups()?;
-        // Terminal labelling, adjacency and sparsity patterns are
-        // perturbation-invariant: build them once and share them read-only
-        // with every sample solver on every worker thread.
-        let topology = Arc::new(SolverTopology::build(&self.structure)?);
-        let plan = FaultPlan::from_env();
-        let mut health = HealthReport {
-            budget: self.config.quarantine_budget,
-            ..HealthReport::default()
-        };
-
-        // --- Nominal solve (also provides the wPFA weights). One AC solve
-        // covers both the nominal outputs and the influence weights.
-        let sscm_start = Instant::now(); // vaem-lint: allow(D6) wall-clock reporting metadata only; never feeds numeric results
-        let nominal_doping = self.nominal_doping();
-        let (nominal_outputs, node_weights) =
-            self.contain_nominal(&mut health, &plan, self.config.solver.clone(), |options| {
-                let nominal_solver = CoupledSolver::with_topology(
-                    &self.structure,
-                    &nominal_doping,
-                    options,
-                    topology.clone(),
-                )?;
-                let nominal_dc = nominal_solver.solve_dc()?;
-                let nominal_ac = nominal_solver.solve_ac(
-                    &nominal_dc,
-                    self.driven_terminal(),
-                    self.config.frequency,
-                )?;
-                let outputs = self.extract_outputs_from(&nominal_solver, &nominal_ac)?;
-                let weights = self.nominal_weights(&nominal_ac)?;
-                Ok((outputs, weights))
-            })?;
-
-        // --- Variable reduction. ---
-        let (reductions, reduction_summary) = self.build_reductions(&groups, &node_weights)?;
-        let total_dim: usize = reductions.iter().map(|r| r.reduced_dim()).sum();
-
-        // --- SSCM stage: fan the independent deterministic solves out over
-        // the worker threads.
-        let sscm = SparseCollocation::new(total_dim);
-        let sample_inputs = self.collocation_inputs(&sscm, &groups, &reductions);
-        health.samples_total = 1 + sample_inputs.len() + self.config.mc_runs;
-        let sample_options = self.sample_solver_options();
-        let attempts: Vec<Result<Vec<f64>, AnalysisError>> = par_map(&sample_inputs, |i, input| {
-            let _guard = Self::fault_scope(&plan, FaultStage::Sscm, i, 0);
-            self.evaluate_sample_with(
-                &topology,
-                &input.facet_offsets,
-                &input.doping_deltas,
-                // vaem-lint: allow(H2) small solver-options struct copied once per sample at worker entry
-                sample_options.clone(),
-            )
-        });
-        let contained = Self::contain_stage(&mut health, SampleStage::Sscm, attempts, |i| {
-            let _guard = Self::fault_scope(&plan, FaultStage::Sscm, i, 1);
-            self.evaluate_sample_with(
-                &topology,
-                &sample_inputs[i].facet_offsets,
-                &sample_inputs[i].doping_deltas,
-                self.recovery_solver_options(),
-            )
-        });
-        self.check_quarantine_budget(&health)?;
-        // Quarantined collocation points are patched with the nominal
-        // outputs: the sparse-grid quadrature needs a value at every point,
-        // and the nominal is the unbiased deterministic stand-in.
-        let outputs: Vec<Vec<f64>> = contained
-            .into_iter()
-            .map(|sample| sample.unwrap_or_else(|| nominal_outputs.clone()))
-            .collect();
-        let pces = sscm.fit(&outputs)?;
-        let sscm_seconds = sscm_start.elapsed().as_secs_f64();
-
-        // --- Donor refresh barrier: if the SSCM fan-out re-pivoted often
-        // enough that the nominal donor is evidently stale for this
-        // parameter spread, drop it and republish from the widest
-        // collocation excursion before the Monte-Carlo fan-out. The
-        // decision runs at this single-threaded barrier on counters that
-        // are sums of per-sample deterministic counts, so neither the
-        // decision nor the new donor depends on worker timing.
-        if self.config.solver.reuse_symbolic {
-            let rate = self.config.solver.donor_refresh_stale_rate;
-            let dc_cleared = topology.clear_dc_donor_if_stale(rate);
-            let ac_cleared = topology.clear_ac_donor_if_stale(rate);
-            if dc_cleared || ac_cleared {
-                if let Some(widest) = Self::widest_excursion(&sample_inputs) {
-                    // The MC stage solves at the configured single-point
-                    // frequency, so that is where the new AC donor is
-                    // recorded. Republishing is an optimization: a failure
-                    // here only costs later samples their warm seed, so it
-                    // is counted and contained, never fatal.
-                    if let Err(error) = self.republish_donors_from(
-                        &topology,
-                        &sample_inputs[widest],
-                        self.config.frequency,
-                    ) {
-                        health.counts.record(classify(&error));
-                    }
-                }
-            }
-        }
+        let frequency = [self.config.frequency];
+        let fixed = AdaptiveSweepOptions::fixed(1);
+        let mut waves = self.run_waves(&frequency, &fixed, self.config.mc_runs)?;
+        let engine = &mut waves.engine;
+        // The Monte-Carlo stage solves at the configured frequency, so that
+        // is where a refreshed AC donor is recorded.
+        engine.refresh_donors(&waves.inputs, &mut waves.slots, frequency[0]);
 
         // --- Monte-Carlo reference (full-rank sampling of every group).
-        // Each run draws from its own `(seed, run)` stream, so the sweep is
+        // Each run draws from its own `(seed, run)` stream — a pure
+        // function the recovery retry re-derives exactly — so the stage is
         // deterministic for any thread count.
         let mc_start = Instant::now(); // vaem-lint: allow(D6) wall-clock reporting metadata only; never feeds numeric results
-        let full_rank: Vec<FullRankGaussian> = groups
+        let full_rank: Vec<FullRankGaussian> = waves
+            .groups
             .iter()
             .map(|g| FullRankGaussian::new(&g.covariance))
             .collect::<Result<_, _>>()?;
-        let n_outputs = self.config.quantities.len();
-        // The run → input map is a pure function of `(seed, run)`, so the
-        // recovery retry can re-derive a failed run's draw exactly.
         let mc_input = |run: usize| {
             let mut rng = StdRng::seed_from_u64(mc_run_seed(self.config.seed, run as u64));
             let mut input = SampleInput::default();
-            for (group, sampler) in groups.iter().zip(full_rank.iter()) {
+            for (group, sampler) in waves.groups.iter().zip(&full_rank) {
                 let z = standard_normal_vector(&mut rng, sampler.reduced_dim());
-                let xi = sampler.expand(&z);
-                self.group_sample(
-                    group,
-                    &xi,
-                    &mut input.facet_offsets,
-                    &mut input.doping_deltas,
-                );
+                group.sample_into(&sampler.expand(&z), &mut input);
             }
-            input
+            Cow::Owned(input)
         };
-        let mc_attempts: Vec<Result<Vec<f64>, AnalysisError>> =
-            par_map_indices(self.config.mc_runs, |run| {
-                let _guard = Self::fault_scope(&plan, FaultStage::Mc, run, 0);
-                let input = mc_input(run);
-                self.evaluate_sample_with(
-                    &topology,
-                    &input.facet_offsets,
-                    &input.doping_deltas,
-                    // vaem-lint: allow(H2) small solver-options struct copied once per sample at worker entry
-                    sample_options.clone(),
-                )
-            });
-        let mc_contained = Self::contain_stage(&mut health, SampleStage::Mc, mc_attempts, |run| {
-            let _guard = Self::fault_scope(&plan, FaultStage::Mc, run, 1);
-            let input = mc_input(run);
-            self.evaluate_sample_with(
-                &topology,
-                &input.facet_offsets,
-                &input.doping_deltas,
-                self.recovery_solver_options(),
-            )
-        });
-        self.check_quarantine_budget(&health)?;
+        let mut mc_slots: Vec<Slot<'_>> =
+            (0..self.config.mc_runs).map(|_| Slot::default()).collect();
+        let mc_outputs = engine.wave(SampleStage::Mc, &mut mc_slots, mc_input, &frequency)?;
         // Quarantined MC runs are dropped: the reference statistics
         // tolerate a missing draw, while patching would bias them toward
         // the nominal.
-        let mut mc_stats = vec![RunningStats::new(); n_outputs];
-        for sample in mc_contained.iter().flatten() {
-            for (acc, v) in mc_stats.iter_mut().zip(sample.iter()) {
+        let mut mc_stats = vec![RunningStats::new(); self.config.quantities.len()];
+        for sample in mc_outputs.iter().flatten() {
+            for (acc, v) in mc_stats.iter_mut().zip(sample) {
                 acc.push(*v);
             }
         }
         let mc_seconds = mc_start.elapsed().as_secs_f64();
 
-        // --- Assemble the result. ---
-        let labels = self.config.quantities.labels();
-        let quantities = labels
-            .into_iter()
-            .enumerate()
-            .map(|(q, label)| QuantityResult {
+        let point = &waves.grid[0];
+        let total_dim: usize = waves.reductions.iter().map(|g| g.reduced_dim).sum();
+        let labels = self.config.quantities.labels().into_iter();
+        let quantities = (labels.zip(&point.pces).zip(&point.nominal).zip(&mc_stats))
+            .map(|(((label, pce), &nominal), mc)| QuantityResult {
                 label,
-                nominal: nominal_outputs[q],
-                sscm: SummaryStats::new(pces[q].mean(), pces[q].std()),
-                monte_carlo: SummaryStats::new(mc_stats[q].mean(), mc_stats[q].sample_std()),
-                main_effects: (0..total_dim).map(|d| pces[q].main_effect(d)).collect(),
+                nominal,
+                sscm: SummaryStats::new(pce.mean(), pce.std()),
+                monte_carlo: SummaryStats::new(mc.mean(), mc.sample_std()),
+                main_effects: (0..total_dim).map(|d| pce.main_effect(d)).collect(),
             })
             .collect();
-
         Ok(AnalysisResult {
             quantities,
-            reductions: reduction_summary,
-            collocation_runs: sscm.run_count(),
+            reductions: waves.reductions,
+            collocation_runs: waves.collocation_runs,
             mc_runs: self.config.mc_runs,
-            sscm_seconds,
+            sscm_seconds: waves.seconds,
             mc_seconds,
-            seed_reuse: topology.seed_stats(),
-            health,
+            seed_reuse: waves.engine.topology.seed_stats(),
+            health: waves.engine.health,
         })
     }
 
@@ -1572,129 +1216,27 @@ impl VariationalAnalysis {
     /// grid (capacitance / interface-current spectra), and a polynomial
     /// chaos expansion is fitted per (frequency, quantity) pair.
     ///
-    /// Every sample performs one DC solve and one
-    /// [`AcSweepOperator::sweep_terminal`](vaem_fvm::AcSweepOperator) pass —
-    /// one AC assembly and one symbolic factorization for the whole grid,
-    /// a numeric refactorization and a warm-started solve per point — and
-    /// the samples fan out over the `vaem_parallel` worker threads, so the
-    /// spectra are bit-identical for any `VAEM_THREADS` value.
-    ///
-    /// The wPFA influence weights are taken from the first grid point; the
-    /// configured single-point `frequency` is not used.
+    /// This is the wave engine without refinement: one wave over the grid,
+    /// in the caller's order. Every sample solves DC once and walks the grid
+    /// on one sweep-aware AC operator (one assembly and symbolic
+    /// factorization, a numeric refactorization and a warm-started solve per
+    /// point); samples fan out over the `vaem_parallel` workers, so the
+    /// spectra are bit-identical for any `VAEM_THREADS` value. The wPFA
+    /// weights come from the first grid point; the configured single-point
+    /// `frequency` is not used.
     ///
     /// # Errors
     /// Propagates solver, reduction and fitting failures; a non-finite or
     /// negative grid entry is a configuration error. An empty grid returns
     /// a well-formed zero-point result (no solves run), and a single-point
-    /// grid degenerates to the single-frequency analysis.
+    /// grid reproduces the SSCM stage of [`VariationalAnalysis::run`] at
+    /// that frequency bit for bit.
     pub fn run_frequency_sweep(
         &self,
         frequencies: &[f64],
     ) -> Result<FrequencySweepResult, AnalysisError> {
-        self.validate_grid(frequencies)?;
-        let start = Instant::now(); // vaem-lint: allow(D6) wall-clock reporting metadata only; never feeds numeric results
-        if frequencies.is_empty() {
-            return Ok(self.empty_sweep_result(start));
-        }
-        let groups = self.build_groups()?;
-        let topology = Arc::new(SolverTopology::build(&self.structure)?);
-        let plan = FaultPlan::from_env();
-        let mut health = HealthReport {
-            budget: self.config.quarantine_budget,
-            ..HealthReport::default()
-        };
-
-        // --- Nominal sweep: provides the per-frequency nominal outputs and
-        // the wPFA weights (from the first grid point).
-        let nominal_doping = self.nominal_doping();
-        let (nominal_flat, node_weights) =
-            self.contain_nominal(&mut health, &plan, self.config.solver.clone(), |options| {
-                let nominal_solver = CoupledSolver::with_topology(
-                    &self.structure,
-                    &nominal_doping,
-                    options,
-                    topology.clone(),
-                )?;
-                let nominal_dc = nominal_solver.solve_dc()?;
-                let mut nominal_operator = nominal_solver.prepare_ac_sweep(&nominal_dc)?;
-                let nominal_sweep =
-                    nominal_operator.sweep_terminal(frequencies, self.driven_terminal())?;
-                let node_weights = self.nominal_weights(&nominal_sweep[0])?;
-                let mut nominal_flat =
-                    Vec::with_capacity(frequencies.len() * self.config.quantities.len());
-                for ac in &nominal_sweep {
-                    nominal_flat.extend(self.extract_outputs_from(&nominal_solver, ac)?);
-                }
-                Ok((nominal_flat, node_weights))
-            })?;
-
-        // --- Reduction + collocation over the spectra: the PCE machinery is
-        // output-agnostic, so the per-frequency quantities are fitted as one
-        // flat (frequency-major) output vector per sample.
-        let (reductions, reduction_summary) = self.build_reductions(&groups, &node_weights)?;
-        let total_dim: usize = reductions.iter().map(|r| r.reduced_dim()).sum();
-        let sscm = SparseCollocation::new(total_dim);
-        let sample_inputs = self.collocation_inputs(&sscm, &groups, &reductions);
-        health.samples_total = 1 + sample_inputs.len();
-        let sample_options = self.sample_solver_options();
-        let attempts: Vec<Result<Vec<f64>, AnalysisError>> = par_map(&sample_inputs, |i, input| {
-            let _guard = Self::fault_scope(&plan, FaultStage::Sscm, i, 0);
-            self.evaluate_spectrum_with(
-                &topology,
-                &input.facet_offsets,
-                &input.doping_deltas,
-                frequencies,
-                // vaem-lint: allow(H2) small solver-options struct copied once per sample at worker entry
-                sample_options.clone(),
-            )
-        });
-        let contained = Self::contain_stage(&mut health, SampleStage::Sscm, attempts, |i| {
-            let _guard = Self::fault_scope(&plan, FaultStage::Sscm, i, 1);
-            self.evaluate_spectrum_with(
-                &topology,
-                &sample_inputs[i].facet_offsets,
-                &sample_inputs[i].doping_deltas,
-                frequencies,
-                self.recovery_solver_options(),
-            )
-        });
-        self.check_quarantine_budget(&health)?;
-        // Quarantined samples contribute the nominal spectrum, keeping the
-        // per-point quadrature well-defined (see `run`).
-        let outputs: Vec<Vec<f64>> = contained
-            .into_iter()
-            .map(|sample| sample.unwrap_or_else(|| nominal_flat.clone()))
-            .collect();
-        let pces = sscm.fit(&outputs)?;
-
-        let labels = self.config.quantities.labels();
-        let n_q = labels.len();
-        let quantities = labels
-            .into_iter()
-            .enumerate()
-            .map(|(q, label)| SweepQuantity {
-                label,
-                nominal: (0..frequencies.len())
-                    .map(|fi| nominal_flat[fi * n_q + q])
-                    .collect(),
-                sscm: (0..frequencies.len())
-                    .map(|fi| {
-                        let pce = &pces[fi * n_q + q];
-                        SummaryStats::new(pce.mean(), pce.std())
-                    })
-                    .collect(),
-            })
-            .collect();
-
-        Ok(FrequencySweepResult {
-            frequencies: frequencies.to_vec(),
-            quantities,
-            reductions: reduction_summary,
-            collocation_runs: sscm.run_count(),
-            seconds: start.elapsed().as_secs_f64(),
-            seed_reuse: topology.seed_stats(),
-            health,
-        })
+        let fixed = AdaptiveSweepOptions::fixed(frequencies.len());
+        Ok(self.run_sweep(frequencies, &fixed)?.sweep)
     }
 
     /// Runs the swept-frequency experiment on an **error-controlled
@@ -1703,24 +1245,18 @@ impl VariationalAnalysis {
     /// log-frequency interpolation of their neighbours — nominal curve,
     /// SSCM mean or SSCM std — by more than `options.rel_tolerance` are
     /// recursively bisected, down to `options.max_depth` generations and at
-    /// most `options.max_points` total points. Flat stretches of the
-    /// spectrum keep the coarse resolution; resonant/transition regions get
-    /// dense points, so a wide-band extraction reaches dense-grid accuracy
-    /// with a fraction of the solves.
+    /// most `options.max_points` total points, so a wide-band extraction
+    /// reaches dense-grid accuracy with a fraction of the solves.
     ///
-    /// Every collocation sample keeps a persistent state across the
-    /// refinement waves: the perturbed problem is built once, the DC
-    /// operating point is solved once, and each refinement point costs one
-    /// numeric refactorization plus one warm-started solve
-    /// ([`AcSweepOperator::solve_at`](vaem_fvm::AcSweepOperator::solve_at))
-    /// — exactly as much as a point of a fixed-grid sweep. Waves fan out
-    /// over the `vaem_parallel` workers with slot-per-input determinism,
-    /// and all refinement decisions are made between waves from
+    /// This is the wave engine with refinement. Wave 0 is
+    /// [`VariationalAnalysis::run_frequency_sweep`] on the coarse grid, so
+    /// a tolerance no spectrum violates reproduces it bit for bit. While
+    /// refinement can happen, every sample keeps its perturbed problem and
+    /// DC operating point across the waves, and each refined point costs
+    /// one numeric refactorization plus one warm-started solve — exactly a
+    /// fixed-grid point. Refinement decisions are made between waves from
     /// thread-count-independent data, so the refined grid and the spectra
-    /// are bit-identical for any `VAEM_THREADS` value. With a tolerance
-    /// loose enough that no refinement triggers, the result is
-    /// bit-identical to [`VariationalAnalysis::run_frequency_sweep`] on the
-    /// coarse grid.
+    /// are bit-identical for any `VAEM_THREADS` value.
     ///
     /// # Errors
     /// Propagates solver, reduction and fitting failures. The coarse grid
@@ -1740,7 +1276,6 @@ impl VariationalAnalysis {
                 options.rel_tolerance
             )));
         }
-        self.validate_grid(coarse_frequencies)?;
         if coarse_frequencies.windows(2).any(|w| w[1] <= w[0]) {
             return Err(AnalysisError::Configuration(
                 "adaptive sweep needs a strictly increasing coarse grid".to_string(),
@@ -1753,319 +1288,428 @@ impl VariationalAnalysis {
                 coarse_frequencies.len()
             )));
         }
-        let start = Instant::now(); // vaem-lint: allow(D6) wall-clock reporting metadata only; never feeds numeric results
-        if coarse_frequencies.is_empty() {
-            return Ok(AdaptiveSweepResult {
-                sweep: self.empty_sweep_result(start),
-                origins: Vec::new(),
-                waves: 0,
-                budget_exhausted: false,
-            });
-        }
+        self.run_sweep(coarse_frequencies, options)
+    }
 
-        let groups = self.build_groups()?;
-        let topology = Arc::new(SolverTopology::build(&self.structure)?);
-        let n_q = self.config.quantities.len();
-        let plan = FaultPlan::from_env();
-        let mut health = HealthReport {
-            budget: self.config.quarantine_budget,
-            ..HealthReport::default()
+    /// Both sweeps: grid validation, the zero-point result of an empty
+    /// grid, and the engine's grid as spectra with per-point provenance.
+    fn run_sweep(
+        &self,
+        frequencies: &[f64],
+        options: &AdaptiveSweepOptions,
+    ) -> Result<AdaptiveSweepResult, AnalysisError> {
+        self.validate_grid(frequencies)?;
+        // An empty grid runs no solves: labelled quantities, empty spectra.
+        let waves = match frequencies {
+            [] => None,
+            _ => Some(self.run_waves(frequencies, options, 0)?),
         };
-
-        // --- Nominal coarse sweep: per-point nominal outputs, wPFA weights
-        // (first grid point) and the donor symbolic phases, published
-        // before any worker starts.
-        let nominal_doping = self.nominal_doping();
-        let (nominal_dc, nominal_flat, node_weights) =
-            self.contain_nominal(&mut health, &plan, self.config.solver.clone(), |options| {
-                let nominal_solver = CoupledSolver::with_topology(
-                    &self.structure,
-                    &nominal_doping,
-                    options,
-                    topology.clone(),
-                )?;
-                let nominal_dc = nominal_solver.solve_dc()?;
-                let mut nominal_operator = nominal_solver.prepare_ac_sweep(&nominal_dc)?;
-                let nominal_sweep =
-                    nominal_operator.sweep_terminal(coarse_frequencies, self.driven_terminal())?;
-                let node_weights = self.nominal_weights(&nominal_sweep[0])?;
-                let mut nominal_flat = Vec::with_capacity(coarse_frequencies.len() * n_q);
-                for ac in &nominal_sweep {
-                    nominal_flat.extend(self.extract_outputs_from(&nominal_solver, ac)?);
-                }
-                Ok((nominal_dc, nominal_flat, node_weights))
-            })?;
-
-        // --- Reduction + persistent sample states. ---
-        let (reductions, reduction_summary) = self.build_reductions(&groups, &node_weights)?;
-        let total_dim: usize = reductions.iter().map(|r| r.reduced_dim()).sum();
-        let sscm = SparseCollocation::new(total_dim);
-        let sample_inputs = self.collocation_inputs(&sscm, &groups, &reductions);
-        health.samples_total = 1 + sample_inputs.len();
-        // Per-sample containment tracking across the refinement waves:
-        // escalated samples evaluate every later wave with the recovery
-        // solver at attempt 1; quarantined samples fast-path to the
-        // nominal spectrum without solving.
-        let mut escalated: Vec<bool> = vec![false; sample_inputs.len()];
-        let mut quarantined: Vec<bool> = vec![false; sample_inputs.len()];
-        let mut states: Vec<SampleState> = Vec::with_capacity(sample_inputs.len());
-        for (i, input) in sample_inputs.iter().enumerate() {
-            let build = {
-                let _guard = Self::fault_scope(&plan, FaultStage::Sscm, i, 0);
-                self.sample_problem(&input.facet_offsets, &input.doping_deltas)
-            };
-            let (structure, doping) = match build {
-                Ok(problem) => problem,
-                Err(first) => {
-                    let kind = classify(&first);
-                    health.counts.record(kind);
-                    let retry = {
-                        let _guard = Self::fault_scope(&plan, FaultStage::Sscm, i, 1);
-                        self.sample_problem(&input.facet_offsets, &input.doping_deltas)
-                    };
-                    match retry {
-                        Ok(problem) => {
-                            health.recovered.push(RecoveredSample {
-                                stage: SampleStage::Sscm,
-                                index: i,
-                                kind,
-                            });
-                            escalated[i] = true;
-                            problem
-                        }
-                        Err(second) => {
-                            health.quarantined.push(QuarantinedSample {
-                                stage: SampleStage::Sscm,
-                                index: i,
-                                kind: classify(&second),
-                                detail: second.to_string(),
-                            });
-                            quarantined[i] = true;
-                            // Placeholder problem — never solved: the
-                            // fast path patches this sample each wave.
-                            (self.structure.clone(), nominal_doping.clone())
-                        }
-                    }
-                }
-            };
-            states.push(SampleState {
-                structure,
-                doping,
-                dc: None,
-            });
-        }
-        self.check_quarantine_budget(&health)?;
-        // The nominal joins later waves as a persistent state of its own
-        // (publishing stays off there — its donors are already out).
-        let mut nominal_state = SampleState {
-            structure: self.structure.clone(),
-            doping: nominal_doping,
-            dc: Some(nominal_dc),
-        };
-
-        // --- Wave 0: every sample over the coarse grid. ---
-        let sample_options = self.sample_solver_options();
-        let recovery_options = self.recovery_solver_options();
-        let wave0: Vec<Result<Vec<f64>, AnalysisError>> = par_map_mut(&mut states, |i, state| {
-            if quarantined[i] {
-                // vaem-lint: allow(H2) quarantined samples take a copy of the patched nominal output
-                return Ok(nominal_flat.clone());
-            }
-            let attempt = u32::from(escalated[i]);
-            let _guard = Self::fault_scope(&plan, FaultStage::Sscm, i, attempt);
-            let options = if escalated[i] {
-                // vaem-lint: allow(H2) small solver-options struct copied once per sample at worker entry
-                recovery_options.clone()
-            } else {
-                // vaem-lint: allow(H2) small solver-options struct copied once per sample at worker entry
-                sample_options.clone()
-            };
-            self.evaluate_state(&topology, state, coarse_frequencies, options)
-        });
-        let sample_outputs = self.contain_wave(
-            &mut health,
-            &plan,
-            &topology,
-            &mut states,
-            &mut escalated,
-            &mut quarantined,
-            coarse_frequencies,
-            &nominal_flat,
-            wave0,
-        );
-        self.check_quarantine_budget(&health)?;
-        let fit_point = |point_outputs: &[Vec<f64>], at: usize| -> Result<_, AnalysisError> {
-            let per_sample: Vec<Vec<f64>> = point_outputs
+        let grid = waves.as_ref().map_or(&[][..], |w| &w.grid[..]);
+        let labels = self.config.quantities.labels().into_iter();
+        let quantities = labels.enumerate().map(|(q, label)| SweepQuantity {
+            label,
+            nominal: grid.iter().map(|p| p.nominal[q]).collect(),
+            sscm: grid
                 .iter()
-                .map(|o| o[at * n_q..(at + 1) * n_q].to_vec())
-                .collect();
-            Ok(sscm.fit(&per_sample)?)
-        };
-        let mut grid: Vec<PointRecord> = Vec::with_capacity(coarse_frequencies.len());
-        for (fi, &frequency) in coarse_frequencies.iter().enumerate() {
-            let pces = fit_point(&sample_outputs, fi)?;
-            grid.push(PointRecord {
-                frequency,
-                origin: PointOrigin::Coarse,
-                nominal: nominal_flat[fi * n_q..(fi + 1) * n_q].to_vec(),
-                mean: pces.iter().map(|p| p.mean()).collect(),
-                std: pces.iter().map(|p| p.std()).collect(),
+                .map(|p| SummaryStats::new(p.pces[q].mean(), p.pces[q].std()))
+                .collect(),
+        });
+        let quantities = quantities.collect();
+        let Some(waves) = waves else {
+            let sweep = FrequencySweepResult {
+                quantities,
+                ..FrequencySweepResult::default()
+            };
+            return Ok(AdaptiveSweepResult {
+                sweep,
+                ..AdaptiveSweepResult::default()
             });
-        }
-
-        // --- Refinement waves: flag, bisect, evaluate, refit. ---
-        let mut waves = 0usize;
-        let mut budget_exhausted = false;
-        loop {
-            let mut flagged: Vec<(usize, f64)> = Vec::new();
-            for i in 1..grid.len().saturating_sub(1) {
-                let indicator = refinement_indicator(&grid[i - 1], &grid[i], &grid[i + 1]);
-                if indicator > options.rel_tolerance {
-                    flag_interval(&mut flagged, i - 1, indicator);
-                    flag_interval(&mut flagged, i, indicator);
-                }
-            }
-            // (midpoint frequency, depth, indicator) per splittable interval.
-            let mut candidates: Vec<(f64, usize, f64)> = flagged
-                .into_iter()
-                .filter_map(|(left, indicator)| {
-                    let (lo, hi) = (&grid[left], &grid[left + 1]);
-                    let depth = lo.origin.depth().max(hi.origin.depth());
-                    if depth >= options.max_depth {
-                        return None;
-                    }
-                    let mid = midpoint_frequency(lo.frequency, hi.frequency);
-                    // Floating-point exhaustion: the midpoint no longer
-                    // separates the endpoints.
-                    if !(mid > lo.frequency && mid < hi.frequency) {
-                        return None;
-                    }
-                    Some((mid, depth + 1, indicator))
-                })
-                .collect();
-            if candidates.is_empty() {
-                break;
-            }
-            let allowed = options.max_points.saturating_sub(grid.len());
-            if allowed == 0 {
-                budget_exhausted = true;
-                break;
-            }
-            if candidates.len() > allowed {
-                // Spend the remaining budget on the worst offenders.
-                budget_exhausted = true;
-                candidates.sort_by(|a, b| {
-                    b.2.partial_cmp(&a.2)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.0.total_cmp(&b.0))
-                });
-                candidates.truncate(allowed);
-            }
-            // Evaluate ascending in frequency: deterministic, and the
-            // warm starts walk the spectrum monotonically.
-            candidates.sort_by(|a, b| a.0.total_cmp(&b.0));
-            waves += 1;
-
-            let wave_freqs: Vec<f64> = candidates.iter().map(|c| c.0).collect();
-
-            // Donor refresh barrier (AC side — no DC solves happen after
-            // wave 0): if the previous wave re-pivoted past the threshold,
-            // republish from the widest collocation excursion so the
-            // refinement waves re-seed from pivots that fit the spread.
-            // The new donor is recorded at this wave's first midpoint —
-            // an in-band operating point — reusing the state's cached DC
-            // solution, so the refresh costs one AC prepare.
-            if self.config.solver.reuse_symbolic
-                && topology.clear_ac_donor_if_stale(self.config.solver.donor_refresh_stale_rate)
-            {
-                if let Some(widest) = Self::widest_excursion(&sample_inputs) {
-                    // Contained like the MC-barrier republish in `run`:
-                    // losing the refresh only costs later points their
-                    // warm seed, never the sweep.
-                    if let Err(error) = self.republish_ac_donor_from_state(
-                        &topology,
-                        &mut states[widest],
-                        wave_freqs[0],
-                    ) {
-                        health.counts.record(classify(&error));
-                    }
-                }
-            }
-            let nominal_new =
-                self.contain_nominal(&mut health, &plan, sample_options.clone(), |options| {
-                    self.evaluate_state(&topology, &mut nominal_state, &wave_freqs, options)
-                })?;
-            let wave: Vec<Result<Vec<f64>, AnalysisError>> =
-                par_map_mut(&mut states, |i, state| {
-                    if quarantined[i] {
-                        // vaem-lint: allow(H2) quarantined samples take a copy of the patched nominal output
-                        return Ok(nominal_new.clone());
-                    }
-                    let attempt = u32::from(escalated[i]);
-                    let _guard = Self::fault_scope(&plan, FaultStage::Sscm, i, attempt);
-                    let options = if escalated[i] {
-                        // vaem-lint: allow(H2) small solver-options struct copied once per sample at worker entry
-                        recovery_options.clone()
-                    } else {
-                        // vaem-lint: allow(H2) small solver-options struct copied once per sample at worker entry
-                        sample_options.clone()
-                    };
-                    self.evaluate_state(&topology, state, &wave_freqs, options)
-                });
-            let sample_new = self.contain_wave(
-                &mut health,
-                &plan,
-                &topology,
-                &mut states,
-                &mut escalated,
-                &mut quarantined,
-                &wave_freqs,
-                &nominal_new,
-                wave,
-            );
-            self.check_quarantine_budget(&health)?;
-            for (ci, &(frequency, depth, _)) in candidates.iter().enumerate() {
-                let pces = fit_point(&sample_new, ci)?;
-                let record = PointRecord {
-                    frequency,
-                    origin: PointOrigin::Refined { wave: waves, depth },
-                    nominal: nominal_new[ci * n_q..(ci + 1) * n_q].to_vec(),
-                    mean: pces.iter().map(|p| p.mean()).collect(),
-                    std: pces.iter().map(|p| p.std()).collect(),
-                };
-                let at = grid.partition_point(|p| p.frequency < frequency);
-                grid.insert(at, record);
-            }
-        }
-
-        // --- Assemble the refined-grid result. ---
-        let labels = self.config.quantities.labels();
-        let quantities = labels
-            .into_iter()
-            .enumerate()
-            .map(|(q, label)| SweepQuantity {
-                label,
-                nominal: grid.iter().map(|p| p.nominal[q]).collect(),
-                sscm: grid
-                    .iter()
-                    .map(|p| SummaryStats::new(p.mean[q], p.std[q]))
-                    .collect(),
-            })
-            .collect();
+        };
+        let grid = &waves.grid;
         Ok(AdaptiveSweepResult {
             sweep: FrequencySweepResult {
                 frequencies: grid.iter().map(|p| p.frequency).collect(),
                 quantities,
-                reductions: reduction_summary,
-                collocation_runs: sscm.run_count(),
-                seconds: start.elapsed().as_secs_f64(),
-                seed_reuse: topology.seed_stats(),
-                health,
+                reductions: waves.reductions,
+                collocation_runs: waves.collocation_runs,
+                seconds: waves.seconds,
+                seed_reuse: waves.engine.topology.seed_stats(),
+                health: waves.engine.health,
             },
             origins: grid.iter().map(|p| p.origin).collect(),
+            waves: waves.waves,
+            budget_exhausted: waves.budget_exhausted,
+        })
+    }
+
+    /// The wave engine behind every entry point. The nominal is solved over
+    /// `coarse` first: its outputs, the wPFA weights of the first point and
+    /// the donor symbolic phases, published before any worker starts. The
+    /// reduction and the collocation samples follow from the weights, and
+    /// wave 0 evaluates every sample over `coarse`. While `refinement` flags
+    /// intervals, each refinement wave evaluates the nominal and every
+    /// sample at the new midpoints. Quarantined samples are patched with
+    /// their wave's nominal outputs, and one chaos expansion is fitted per
+    /// (point, quantity). `mc_runs` only counts toward the quarantine
+    /// budget; [`VariationalAnalysis::run`] runs that stage itself.
+    fn run_waves(
+        &self,
+        coarse: &[f64],
+        refinement: &AdaptiveSweepOptions,
+        mc_runs: usize,
+    ) -> Result<Waves<'_>, AnalysisError> {
+        let start = Instant::now(); // vaem-lint: allow(D6) wall-clock reporting metadata only; never feeds numeric results
+        let groups = self.build_groups()?;
+        let mut engine = Engine {
+            analysis: self,
+            topology: Arc::new(SolverTopology::build(&self.structure)?),
+            plan: FaultPlan::from_env(),
+            health: HealthReport {
+                budget: self.config.quarantine_budget,
+                ..HealthReport::default()
+            },
+            refine: refinement.rel_tolerance.is_finite() && coarse.len() >= 3,
+        };
+        let mut nominal = SampleState {
+            structure: Cow::Borrowed(&self.structure),
+            doping: self.nominal_doping(),
+            dc: None,
+        };
+        let mut weights = Vec::new();
+        let options = self.config.solver.clone();
+        let mut nominal_outputs =
+            engine.nominal_wave(&mut nominal, coarse, options, Some(&mut weights))?;
+
+        let (reductions, reduction_summary) = self.build_reductions(&groups, &weights)?;
+        let total_dim: usize = reductions.iter().map(|r| r.reduced_dim()).sum();
+        let sscm = SparseCollocation::new(total_dim);
+        let inputs = self.collocation_inputs(&sscm, &groups, &reductions);
+        engine.health.samples_total = 1 + inputs.len() + mc_runs;
+        let mut slots: Vec<Slot<'_>> = inputs.iter().map(|_| Slot::default()).collect();
+
+        let n_q = self.config.quantities.len();
+        let mut points: Vec<(f64, PointOrigin)> =
+            coarse.iter().map(|&f| (f, PointOrigin::Coarse)).collect();
+        let mut grid: Vec<PointRecord> = Vec::with_capacity(coarse.len());
+        let (mut waves, mut budget_exhausted) = (0, false);
+        loop {
+            let frequencies: Vec<f64> = points.iter().map(|p| p.0).collect();
+            if waves > 0 {
+                // Refinement waves re-seed from donors that fit the spread,
+                // recorded at the wave's first (in-band) midpoint.
+                engine.refresh_donors(&inputs, &mut slots, frequencies[0]);
+                let options = self.sample_solver_options();
+                nominal_outputs = engine.nominal_wave(&mut nominal, &frequencies, options, None)?;
+            }
+            let input_of = |i: usize| Cow::Borrowed(&inputs[i]);
+            let outputs: Vec<Vec<f64>> = engine
+                .wave(SampleStage::Sscm, &mut slots, input_of, &frequencies)?
+                .into_iter()
+                // The sparse-grid quadrature needs a value at every point,
+                // and the nominal is the unbiased deterministic stand-in.
+                .map(|sample| sample.unwrap_or_else(|| nominal_outputs.clone()))
+                .collect();
+            for (k, &(frequency, origin)) in points.iter().enumerate() {
+                let at = k * n_q..(k + 1) * n_q;
+                let per_sample: Vec<Vec<f64>> =
+                    outputs.iter().map(|o| o[at.clone()].to_vec()).collect();
+                let record = PointRecord {
+                    frequency,
+                    origin,
+                    nominal: nominal_outputs[at].to_vec(),
+                    pces: sscm.fit(&per_sample)?,
+                };
+                // Coarse points keep the caller's order; refinement (which
+                // needs an ascending grid) inserts midpoints by frequency.
+                let position = match origin {
+                    PointOrigin::Coarse => grid.len(),
+                    PointOrigin::Refined { .. } => {
+                        grid.partition_point(|p| p.frequency < frequency)
+                    }
+                };
+                grid.insert(position, record);
+            }
+            if !engine.refine {
+                break;
+            }
+            let (next, exhausted) = next_wave(&grid, refinement, waves + 1);
+            budget_exhausted |= exhausted;
+            if next.is_empty() {
+                break;
+            }
+            points = next;
+            waves += 1;
+        }
+        Ok(Waves {
+            engine,
+            groups,
+            inputs,
+            slots,
+            grid,
+            reductions: reduction_summary,
+            collocation_runs: sscm.run_count(),
             waves,
             budget_exhausted,
+            seconds: start.elapsed().as_secs_f64(),
         })
+    }
+}
+
+/// The shared state of one analysis — solver topology, fault plan and
+/// containment record — and the steps every stage goes through: one
+/// contained fan-out, one containment rule and one donor refresh.
+struct Engine<'a> {
+    analysis: &'a VariationalAnalysis,
+    /// Terminal labelling, adjacency and sparsity patterns are
+    /// perturbation-invariant: built once and shared read-only with every
+    /// sample solver on every worker thread.
+    topology: Arc<SolverTopology>,
+    plan: Option<Arc<FaultPlan>>,
+    health: HealthReport,
+    /// A refinement wave can follow wave 0 (finite tolerance, an interior
+    /// grid point): only then is per-sample state worth keeping.
+    refine: bool,
+}
+
+/// What the wave engine hands back to the entry points.
+struct Waves<'a> {
+    engine: Engine<'a>,
+    groups: Vec<VariationGroup>,
+    inputs: Vec<SampleInput>,
+    slots: Vec<Slot<'a>>,
+    grid: Vec<PointRecord>,
+    reductions: Vec<GroupReduction>,
+    collocation_runs: usize,
+    waves: usize,
+    budget_exhausted: bool,
+    seconds: f64,
+}
+
+impl<'a> Engine<'a> {
+    /// Installs the fault-injection scope of one evaluation when a plan is
+    /// active (`None` plan → no scope, zero overhead). Keyed by the sample
+    /// index, never by the worker, so injection is timing-independent.
+    fn fault_scope(&self, stage: SampleStage, index: usize, attempt: u32) -> Option<ScopeGuard> {
+        let stage = match stage {
+            SampleStage::Nominal => FaultStage::Nominal,
+            SampleStage::Sscm => FaultStage::Sscm,
+            SampleStage::Mc => FaultStage::Mc,
+        };
+        self.plan
+            .as_ref()
+            // vaem-lint: allow(H2) Arc refcount bump installing the fault scope
+            .map(|p| faults::scope(p.clone(), stage, index, attempt))
+    }
+
+    /// The one containment rule. A failed first attempt is classified and
+    /// counted, then retried once under
+    /// [`VariationalAnalysis::recovery_solver_options`] at fault attempt 1.
+    /// A successful retry is recorded as recovered; a failed one as
+    /// quarantined, and its error is returned — each stage decides what a
+    /// quarantine means. Called serially in ascending sample order at the
+    /// stage barrier, so the report is the same for any thread count.
+    fn contain(
+        &mut self,
+        stage: SampleStage,
+        index: usize,
+        first: Result<Vec<f64>, AnalysisError>,
+        retry: impl FnOnce(&Self, SolverOptions) -> Result<Vec<f64>, AnalysisError>,
+    ) -> Result<Vec<f64>, AnalysisError> {
+        let kind = match &first {
+            Ok(_) => return first,
+            Err(error) => classify(error),
+        };
+        self.health.counts.record(kind);
+        let second = {
+            let _guard = self.fault_scope(stage, index, 1);
+            retry(self, self.analysis.recovery_solver_options())
+        };
+        match &second {
+            Ok(_) => self
+                .health
+                .recovered
+                .push(RecoveredSample { stage, index, kind }),
+            Err(error) => self.health.quarantined.push(QuarantinedSample {
+                stage,
+                index,
+                kind: classify(error),
+                detail: error.to_string(),
+            }),
+        }
+        second
+    }
+
+    /// Evaluates the nominal over `frequencies` under containment. A
+    /// quarantined nominal is fatal: every downstream stage (weights,
+    /// reduction, quarantine patching) needs it.
+    fn nominal_wave(
+        &mut self,
+        state: &mut SampleState<'a>,
+        frequencies: &[f64],
+        options: SolverOptions,
+        mut weights: Option<&mut Vec<f64>>,
+    ) -> Result<Vec<f64>, AnalysisError> {
+        let first = {
+            let _guard = self.fault_scope(SampleStage::Nominal, 0, 0);
+            let weights = weights.as_deref_mut();
+            let topology = &self.topology;
+            self.analysis
+                .evaluate_state(topology, state, frequencies, options, weights)
+        };
+        self.contain(SampleStage::Nominal, 0, first, |engine, options| {
+            let topology = &engine.topology;
+            engine
+                .analysis
+                .evaluate_state(topology, state, frequencies, options, weights)
+        })
+    }
+
+    /// One contained fan-out of `stage` over `frequencies`: every live
+    /// slot is evaluated on the worker threads (at fault attempt 1 once
+    /// escalated), failures are contained serially in ascending sample
+    /// order, and the quarantine budget is checked — quarantine counts only
+    /// grow, so the first check that trips aborts the run. Returns the
+    /// per-sample outputs, `None` for a quarantined sample.
+    fn wave<'i>(
+        &mut self,
+        stage: SampleStage,
+        slots: &mut [Slot<'a>],
+        input_of: impl Fn(usize) -> Cow<'i, SampleInput> + Sync,
+        frequencies: &[f64],
+    ) -> Result<Vec<Option<Vec<f64>>>, AnalysisError> {
+        let sample_options = self.analysis.sample_solver_options();
+        let recovery_options = self.analysis.recovery_solver_options();
+        let engine = &*self;
+        let attempts = par_map_mut(slots, |i, slot| {
+            if slot.quarantined {
+                return None;
+            }
+            let _guard = engine.fault_scope(stage, i, u32::from(slot.escalated));
+            let options = if slot.escalated {
+                &recovery_options
+            } else {
+                &sample_options
+            };
+            // vaem-lint: allow(H2) small solver-options struct copied once per sample at worker entry
+            Some(engine.evaluate_slot(slot, &input_of(i), frequencies, options.clone()))
+        });
+        let outputs = attempts
+            .into_iter()
+            .zip(slots.iter_mut())
+            .enumerate()
+            .map(|(i, (attempt, slot))| {
+                let first = attempt?;
+                let failed = first.is_err();
+                let contained = self.contain(stage, i, first, |engine, options| {
+                    engine.evaluate_slot(slot, &input_of(i), frequencies, options)
+                });
+                slot.escalated |= failed;
+                slot.quarantined = contained.is_err();
+                if slot.quarantined {
+                    slot.state = None;
+                }
+                contained.ok()
+            })
+            .collect();
+        let health = &self.health;
+        let quarantined = health.quarantined.len();
+        if quarantined > 0 && quarantined as f64 > health.budget * health.samples_total as f64 {
+            return Err(AnalysisError::QuarantineExceeded {
+                quarantined,
+                total: health.samples_total,
+                budget: health.budget,
+            });
+        }
+        Ok(outputs)
+    }
+
+    /// The slot's kept state, or its perturbed problem built afresh.
+    fn take_state(
+        &self,
+        slot: &mut Slot<'a>,
+        input: &SampleInput,
+    ) -> Result<SampleState<'a>, AnalysisError> {
+        match slot.state.take() {
+            Some(state) => Ok(state),
+            None => self
+                .analysis
+                .sample_state(&input.facet_offsets, &input.doping_deltas),
+        }
+    }
+
+    /// Evaluates one slot, keeping its state only while refining.
+    fn evaluate_slot(
+        &self,
+        slot: &mut Slot<'a>,
+        input: &SampleInput,
+        frequencies: &[f64],
+        options: SolverOptions,
+    ) -> Result<Vec<f64>, AnalysisError> {
+        let mut state = self.take_state(slot, input)?;
+        let topology = &self.topology;
+        let outputs =
+            self.analysis
+                .evaluate_state(topology, &mut state, frequencies, options, None);
+        if self.refine {
+            slot.state = Some(state);
+        }
+        outputs
+    }
+
+    /// Donor refresh barrier between stages or waves: when the previous
+    /// fan-out re-pivoted often enough that a donor is evidently stale for
+    /// this parameter spread, drop it and re-solve the widest collocation
+    /// excursion with the (publishing) configured options, reusing its
+    /// cached DC solution when there is one and recording the AC donor at
+    /// `frequency` — where the next fan-out solves. While refining, samples
+    /// keep their DC operating points, so only the AC donor can go stale.
+    /// The decision runs single-threaded on sums of per-sample counters, so
+    /// neither it nor the new donor depends on worker timing; a failed
+    /// republish only costs later samples their warm seed, so it is
+    /// counted, never fatal.
+    fn refresh_donors(&mut self, inputs: &[SampleInput], slots: &mut [Slot<'a>], frequency: f64) {
+        let solver = &self.analysis.config.solver;
+        if !solver.reuse_symbolic {
+            return;
+        }
+        let rate = solver.donor_refresh_stale_rate;
+        let dc_cleared = !self.refine && self.topology.clear_dc_donor_if_stale(rate);
+        let ac_cleared = self.topology.clear_ac_donor_if_stale(rate);
+        let widest = VariationalAnalysis::widest_excursion(inputs);
+        let Some(widest) = widest.filter(|_| dc_cleared || ac_cleared) else {
+            return;
+        };
+        if let Err(error) = self.republish(&mut slots[widest], &inputs[widest], frequency) {
+            self.health.counts.record(classify(&error));
+        }
+    }
+
+    /// Re-solves one slot with the configured (publishing) solver options,
+    /// reusing its cached DC solution when there is one.
+    fn republish(
+        &self,
+        slot: &mut Slot<'a>,
+        input: &SampleInput,
+        frequency: f64,
+    ) -> Result<(), AnalysisError> {
+        let mut state = self.take_state(slot, input)?;
+        let solver = CoupledSolver::with_topology(
+            &state.structure,
+            &state.doping,
+            self.analysis.config.solver.clone(),
+            self.topology.clone(),
+        )?;
+        let dc = match state.dc.take() {
+            Some(dc) => dc,
+            None => solver.solve_dc()?,
+        };
+        // One AC prepare republishes the AC donor alongside the DC one.
+        solver.prepare_ac(&dc, frequency)?;
+        state.dc = Some(dc);
+        if self.refine {
+            slot.state = Some(state);
+        }
+        Ok(())
     }
 }
 
@@ -2241,8 +1885,12 @@ mod tests {
         let single = VariationalAnalysis::new(analysis.structure().clone(), config)
             .run()
             .unwrap();
-        let rel = (single.quantities[0].nominal - q.nominal[0]).abs() / q.nominal[0];
-        assert!(rel < 1e-9, "nominal mismatch vs single-point run: {rel}");
+        // Both go through one engine: a one-point sweep is the SSCM stage of
+        // `run` bit for bit.
+        let s = &single.quantities[0];
+        assert_eq!(s.nominal.to_bits(), q.nominal[0].to_bits());
+        assert_eq!(s.sscm.mean.to_bits(), q.sscm[0].mean.to_bits());
+        assert_eq!(s.sscm.std.to_bits(), q.sscm[0].std.to_bits());
     }
 
     #[test]

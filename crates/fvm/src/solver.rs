@@ -907,7 +907,6 @@ impl<'a> CoupledSolver<'a> {
         frequency: f64,
     ) -> Result<AcSolution, FvmError> {
         let mut excitations = BTreeMap::new();
-        // vaem-lint: allow(H1) terminal-label key for the excitation map, once per AC solve
         excitations.insert(driven_terminal.to_string(), Complex64::ONE);
         self.solve_ac_with_excitations(dc, &excitations, frequency, driven_terminal)
     }
@@ -1325,7 +1324,6 @@ impl AcSweepOperator<'_, '_> {
         // Each grid walk starts cold, so back-to-back sweeps of the same
         // operator reproduce each other exactly.
         self.warm = None;
-        // vaem-lint: allow(H1) sweep output buffer sized once per sweep
         let mut out = Vec::with_capacity(frequencies.len());
         for &frequency in frequencies {
             out.push(self.solve_at(frequency, driven_terminal)?);

@@ -13,8 +13,6 @@
 //!   preconditioner.
 //! * [`BiCgStab`] and [`Gmres`] — preconditioned Krylov solvers for the
 //!   non-symmetric complex systems.
-//! * [`ConjugateGradient`] — for the symmetric positive-definite real systems
-//!   (pure electrostatic sub-problems).
 //! * [`SparseLu`] — a left-looking (Gilbert–Peierls style) direct sparse LU
 //!   with partial pivoting, used as a robust fallback and for smaller meshes.
 //! * [`SymbolicLu`] — the symbolic phase of the direct LU cached per
@@ -58,7 +56,6 @@
 #![warn(rust_2018_idioms)]
 
 mod bicgstab;
-mod cg;
 mod csr;
 mod error;
 mod gmres;
@@ -71,7 +68,6 @@ mod symbolic;
 mod triplet;
 
 pub use bicgstab::{BiCgStab, BiCgStabWorkspace, KrylovOptions};
-pub use cg::{CgWorkspace, ConjugateGradient};
 pub use csr::{CsrMatrix, SparsityPattern};
 pub use error::SparseError;
 pub use gmres::{Gmres, GmresWorkspace};

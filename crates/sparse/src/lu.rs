@@ -5,13 +5,14 @@
 //! when the ILU-preconditioned Krylov solvers stagnate, and the default for
 //! small and medium meshes where its cost is negligible.
 //!
-//! [`SparseLu::new`] is the **cold one-shot path**: natural ordering, scalar
-//! column kernel, full pivot search per column. Anything that factorizes the
-//! same pattern more than once should go through [`crate::SymbolicLu`]
-//! instead, which adds fill-reducing ordering selection (RCM vs AMD), a
-//! supernode-blocked numeric phase and elimination-tree parallelism on top
-//! of the same factor representation — this type then serves as the shared
-//! triangular-solve container for both paths.
+//! Every solver path factorizes through [`crate::SymbolicLu`] (fill-reducing
+//! ordering selection between RCM and AMD, a supernode-blocked numeric
+//! phase, elimination-tree parallelism); this type is the factor container
+//! and triangular solver it produces — [`crate::LinearSolver::solve`]
+//! included. [`SparseLu::new`] stays as the plain reference factorization
+//! (natural ordering, scalar column kernel, full pivot search per column)
+//! that the symbolic-phase tests compare against; no pipeline path calls
+//! it.
 
 use crate::{CsrMatrix, SparseError};
 use vaem_numeric::Scalar;
