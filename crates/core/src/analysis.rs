@@ -1382,6 +1382,8 @@ impl VariationalAnalysis {
 
         let (reductions, reduction_summary) = self.build_reductions(&groups, &weights)?;
         let total_dim: usize = reductions.iter().map(|r| r.reduced_dim()).sum();
+        // Its design is factored by the first fit and serves every
+        // quantity, grid point and refinement wave below.
         let sscm = SparseCollocation::new(total_dim);
         let inputs = self.collocation_inputs(&sscm, &groups, &reductions);
         engine.health.samples_total = 1 + inputs.len() + mc_runs;
@@ -1891,6 +1893,21 @@ mod tests {
         assert_eq!(s.nominal.to_bits(), q.nominal[0].to_bits());
         assert_eq!(s.sscm.mean.to_bits(), q.sscm[0].mean.to_bits());
         assert_eq!(s.sscm.std.to_bits(), q.sscm[0].std.to_bits());
+    }
+
+    #[test]
+    fn shared_point_pces_do_not_depend_on_the_sweep_grid() {
+        // The SSCM design is factored once and reused at every grid point;
+        // the fit at the first point must not depend on how many follow.
+        let analysis = tiny_analysis(false, true);
+        let alone = analysis.run_frequency_sweep(&[1.0e9]).unwrap();
+        let swept = analysis
+            .run_frequency_sweep(&[1.0e9, 2.0e9, 5.0e9])
+            .unwrap();
+        let (a, s) = (&alone.quantities[0], &swept.quantities[0]);
+        assert_eq!(a.nominal[0].to_bits(), s.nominal[0].to_bits());
+        assert_eq!(a.sscm[0].mean.to_bits(), s.sscm[0].mean.to_bits());
+        assert_eq!(a.sscm[0].std.to_bits(), s.sscm[0].std.to_bits());
     }
 
     #[test]

@@ -235,12 +235,14 @@ impl Parser<'_> {
                 j += 1;
             }
         }
-        // Return type: the tokens between `->` and the body/`;`.
+        // Return type: the tokens between `->` and the body/`;`. The scan
+        // stops at the body's `{`: an `->` inside the body (a closure's
+        // return type) is not the function's.
         let mut returns_result = false;
+        let stop = body.map(|(open, _)| open).unwrap_or(sig_end);
         let mut r = name_idx;
-        while r + 1 < sig_end {
+        while r + 1 < stop {
             if self.is_punct(r, '-') && self.is_punct(r + 1, '>') {
-                let stop = body.map(|(open, _)| open).unwrap_or(sig_end);
                 for t in &self.toks[r..stop] {
                     if t.kind == TokKind::Ident && t.text == "Result" {
                         returns_result = true;

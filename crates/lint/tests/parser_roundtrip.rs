@@ -47,6 +47,20 @@ fn fixtures_round_trip_too() {
     assert!(seen >= 10, "expected the seeded fixtures, saw {seen}");
 }
 
+#[test]
+fn closure_return_type_in_body_is_not_the_fn_return_type() {
+    let source = include_str!("fixtures/closure_return_type.rs");
+    let lexed = lexer::lex(source);
+    let items = parse::parse(&lexed.toks);
+    let f = items
+        .iter()
+        .find(|item| item.kind == parse::ItemKind::Fn && item.name == "f")
+        .expect("the fixture's fn parses");
+    assert!(f.body.is_some());
+    assert!(!f.returns_result);
+    roundtrip("closure_return_type.rs", source);
+}
+
 /// Deterministic xorshift64* stream — the property-test shim (the
 /// workspace is offline, so no proptest crate; the generator is seeded
 /// and fully reproducible).

@@ -1,6 +1,8 @@
 //! The sparse stochastic collocation driver (SSCM).
 
+use crate::pce::ChaosDesign;
 use crate::{CollocationGrid, HermiteBasis, PolynomialChaos};
+use std::sync::OnceLock;
 use vaem_numeric::NumericError;
 
 /// SSCM driver: owns the collocation grid and fits one [`PolynomialChaos`]
@@ -13,6 +15,13 @@ use vaem_numeric::NumericError;
 ///    ([`SparseCollocation::points`], `2d² + 3d + 1` runs),
 /// 3. fit the quadratic chaos ([`SparseCollocation::fit`]) and read off the
 ///    statistics.
+///
+/// The regression design depends only on the grid and the order, so the
+/// first fit evaluates the basis once per point, QR-factors the design and
+/// keeps the factorization. Every quantity of every later fit (each
+/// frequency point and refinement wave of a sweep) is then one
+/// least-squares solve, with the same coefficient bits as an independent
+/// [`PolynomialChaos::fit`].
 ///
 /// # Example
 /// ```
@@ -34,6 +43,8 @@ use vaem_numeric::NumericError;
 pub struct SparseCollocation {
     grid: CollocationGrid,
     order: u8,
+    /// The factored design, built by the first fit and shared by the rest.
+    design: OnceLock<Result<ChaosDesign, NumericError>>,
 }
 
 impl SparseCollocation {
@@ -46,6 +57,7 @@ impl SparseCollocation {
         Self {
             grid: CollocationGrid::level2(dim),
             order: 2,
+            design: OnceLock::new(),
         }
     }
 
@@ -65,7 +77,8 @@ impl SparseCollocation {
         self.grid.points()
     }
 
-    /// Fits one polynomial chaos per output quantity.
+    /// Fits one polynomial chaos per output quantity: one least-squares
+    /// solve each against the design factored once per grid.
     ///
     /// `outputs[i]` holds the output vector of the solver run at
     /// `points()[i]`; every run must produce the same number of outputs.
@@ -90,11 +103,21 @@ impl SparseCollocation {
                 detail: "solver runs returned inconsistent output counts".to_string(),
             });
         }
+        let design = self
+            .design
+            .get_or_init(|| {
+                let basis = HermiteBasis::new(self.dim(), self.order);
+                ChaosDesign::new(basis, self.grid.points())
+            })
+            .as_ref()
+            .map_err(Clone::clone)?;
         let mut models = Vec::with_capacity(n_out);
+        let mut values = vec![0.0; outputs.len()];
         for q in 0..n_out {
-            let values: Vec<f64> = outputs.iter().map(|o| o[q]).collect();
-            let basis = HermiteBasis::new(self.dim(), self.order);
-            models.push(PolynomialChaos::fit(basis, self.grid.points(), &values)?);
+            for (value, run) in values.iter_mut().zip(outputs) {
+                *value = run[q];
+            }
+            models.push(design.fit(&values)?);
         }
         Ok(models)
     }
@@ -128,6 +151,42 @@ mod tests {
         assert!((pces[1].variance() - 1.0).abs() < 1e-9);
         assert!((pces[2].mean() - 1.5).abs() < 1e-10);
         assert!((pces[2].variance() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn shared_design_fit_is_bit_identical_to_independent_fits() {
+        let sscm = SparseCollocation::new(12);
+        let runs: Vec<Vec<f64>> = sscm
+            .points()
+            .iter()
+            .map(|z| {
+                (0..4)
+                    .map(|q| {
+                        let linear: f64 = z
+                            .iter()
+                            .enumerate()
+                            .map(|(i, x)| x * (1 + (i + q) % 3) as f64)
+                            .sum();
+                        1.0 + linear + 0.1 * z[q] * z[(q + 5) % 12] + (q as f64) * z[0] * z[0]
+                    })
+                    .collect()
+            })
+            .collect();
+        // Twice: the second call reuses the design factored by the first.
+        for _ in 0..2 {
+            let shared = sscm.fit(&runs).unwrap();
+            assert_eq!(shared.len(), 4);
+            for (q, pce) in shared.iter().enumerate() {
+                let values: Vec<f64> = runs.iter().map(|r| r[q]).collect();
+                let alone =
+                    PolynomialChaos::fit(HermiteBasis::new(12, 2), sscm.points(), &values).unwrap();
+                assert_eq!(pce.basis(), alone.basis());
+                let bits = |p: &PolynomialChaos| -> Vec<u64> {
+                    p.coefficients().iter().map(|c| c.to_bits()).collect()
+                };
+                assert_eq!(bits(pce), bits(&alone), "quantity {q}");
+            }
+        }
     }
 
     #[test]

@@ -83,25 +83,35 @@ impl HermiteBasis {
     /// # Panics
     /// Panics if `zeta.len() != self.dim()`.
     pub fn evaluate(&self, zeta: &[f64]) -> Vec<f64> {
+        let mut row = vec![0.0; self.len()];
+        self.evaluate_into(zeta, &mut row);
+        row
+    }
+
+    /// Writes every basis function at the point `zeta` into `out`, e.g. one
+    /// row of a regression design matrix.
+    ///
+    /// # Panics
+    /// Panics if `zeta.len() != self.dim()` or `out.len() != self.len()`.
+    pub(crate) fn evaluate_into(&self, zeta: &[f64], out: &mut [f64]) {
         assert_eq!(
             zeta.len(),
             self.dim,
             "basis evaluation: wrong point dimension"
         );
+        assert_eq!(out.len(), self.len(), "basis evaluation: wrong row length");
         // Per-dimension 1-D Hermite values up to the max order.
         let per_dim: Vec<Vec<f64>> = zeta
             .iter()
             .map(|&z| hermite_values_upto(self.order as usize, z))
             .collect();
-        self.indices
-            .iter()
-            .map(|idx| {
-                idx.iter()
-                    .enumerate()
-                    .map(|(d, &o)| per_dim[d][o as usize])
-                    .product()
-            })
-            .collect()
+        for (value, idx) in out.iter_mut().zip(&self.indices) {
+            *value = idx
+                .iter()
+                .enumerate()
+                .map(|(d, &o)| per_dim[d][o as usize])
+                .product();
+        }
     }
 }
 

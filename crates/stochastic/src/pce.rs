@@ -33,6 +33,11 @@ impl PolynomialChaos {
     /// Fits the expansion to samples `(points[i], values[i])` by regression
     /// (least squares on the collocation samples).
     ///
+    /// The design matrix costs one basis evaluation per point, and one
+    /// Householder QR factors it. To fit several quantities on one point
+    /// set, [`crate::SparseCollocation::fit`] reuses that factorization and
+    /// pays only one least-squares solve per quantity, with the same bits.
+    ///
     /// # Errors
     /// * [`NumericError::DimensionMismatch`] if the number of values differs
     ///   from the number of points or there are fewer samples than basis
@@ -43,33 +48,7 @@ impl PolynomialChaos {
         points: &[Vec<f64>],
         values: &[f64],
     ) -> Result<Self, NumericError> {
-        if points.len() != values.len() {
-            return Err(NumericError::DimensionMismatch {
-                detail: format!(
-                    "{} collocation points but {} output values",
-                    points.len(),
-                    values.len()
-                ),
-            });
-        }
-        if points.len() < basis.len() {
-            return Err(NumericError::DimensionMismatch {
-                detail: format!(
-                    "need at least {} samples to fit {} chaos coefficients",
-                    basis.len(),
-                    basis.len()
-                ),
-            });
-        }
-        let design = DMatrix::from_fn(points.len(), basis.len(), |i, j| {
-            basis.evaluate(&points[i])[j]
-        });
-        let qr = Qr::new(&design)?;
-        let coefficients = qr.solve_least_squares(values)?;
-        Ok(Self {
-            basis,
-            coefficients,
-        })
+        ChaosDesign::new(basis, points)?.fit(values)
     }
 
     /// The underlying basis.
@@ -135,6 +114,64 @@ impl PolynomialChaos {
             }
         }
         acc / total
+    }
+}
+
+/// The regression design of a chaos basis on one point set, QR-factored
+/// once: row `i` holds every basis function at `points[i]`. Each fit on
+/// that point set is then one least-squares solve.
+#[derive(Debug, Clone)]
+pub(crate) struct ChaosDesign {
+    basis: HermiteBasis,
+    qr: Qr,
+}
+
+impl ChaosDesign {
+    /// Evaluates the basis once per point straight into the design matrix
+    /// and factors it.
+    ///
+    /// # Errors
+    /// * [`NumericError::DimensionMismatch`] with fewer points than basis
+    ///   functions.
+    /// * Propagates QR failures for degenerate point sets.
+    pub(crate) fn new(basis: HermiteBasis, points: &[Vec<f64>]) -> Result<Self, NumericError> {
+        if points.len() < basis.len() {
+            return Err(NumericError::DimensionMismatch {
+                detail: format!(
+                    "need at least {} samples to fit {} chaos coefficients",
+                    basis.len(),
+                    basis.len()
+                ),
+            });
+        }
+        let mut design = DMatrix::zeros(points.len(), basis.len());
+        for (i, point) in points.iter().enumerate() {
+            basis.evaluate_into(point, design.row_mut(i));
+        }
+        let qr = Qr::new(&design)?;
+        Ok(Self { basis, qr })
+    }
+
+    /// Fits the chaos to `values[i]` observed at `points[i]`.
+    ///
+    /// # Errors
+    /// * [`NumericError::DimensionMismatch`] if the number of values differs
+    ///   from the number of points.
+    /// * Propagates least-squares failures.
+    pub(crate) fn fit(&self, values: &[f64]) -> Result<PolynomialChaos, NumericError> {
+        if values.len() != self.qr.rows() {
+            return Err(NumericError::DimensionMismatch {
+                detail: format!(
+                    "{} collocation points but {} output values",
+                    self.qr.rows(),
+                    values.len()
+                ),
+            });
+        }
+        Ok(PolynomialChaos {
+            basis: self.basis.clone(),
+            coefficients: self.qr.solve_least_squares(values)?,
+        })
     }
 }
 
