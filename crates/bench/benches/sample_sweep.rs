@@ -7,7 +7,7 @@
 //! sample factorizes direct sparse LUs, so the nominal sample's donated
 //! symbolic phase (ordering + pivot structure, shared through the
 //! `SolverTopology`) is what each worker starts from. `_unseeded` disables
-//! the reuse (`SolverOptions::reuse_symbolic = false`) — the ratio between
+//! the reuse (`SolverOptions::seeding = Seeding::Off`) — the ratio between
 //! the two is the per-sample cost of the symbolic analysis and pivot
 //! discovery that seeding removes. The results of both variants are
 //! bit-identical (tier-1 `seeded_sample_sweep_is_bit_identical...` test).
@@ -19,9 +19,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use vaem::config::{AnalysisConfig, DopingVariationConfig, QuantitySet, VariationSpec};
 use vaem::VariationalAnalysis;
+use vaem_fvm::Seeding;
 use vaem_mesh::structures::metalplug::{build_metalplug_structure, MetalPlugConfig};
 
-fn sweep_analysis(reuse_symbolic: bool) -> VariationalAnalysis {
+fn sweep_analysis(seeding: Seeding) -> VariationalAnalysis {
     let structure = build_metalplug_structure(&MetalPlugConfig::tiny());
     let mut config = AnalysisConfig::new(QuantitySet::InterfaceCurrent {
         terminal: "plug1".to_string(),
@@ -29,7 +30,7 @@ fn sweep_analysis(reuse_symbolic: bool) -> VariationalAnalysis {
     config.mc_runs = 64;
     config.energy_fraction = 0.9;
     config.max_reduced_per_group = 2;
-    config.solver.reuse_symbolic = reuse_symbolic;
+    config.solver.seeding = seeding;
     config.variations = VariationSpec {
         roughness: None,
         doping: Some(DopingVariationConfig {
@@ -45,8 +46,8 @@ fn run(analysis: &VariationalAnalysis) -> usize {
     let result = analysis.run().expect("sample sweep");
     assert_eq!(
         result.seed_reuse.dc_seeded,
-        analysis.config().solver.reuse_symbolic,
-        "seed publication must follow the reuse switch"
+        analysis.config().solver.seeding == Seeding::Publish,
+        "seed publication must follow the seeding mode"
     );
     result.collocation_runs + result.mc_runs
 }
@@ -55,10 +56,10 @@ fn bench_sample_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("sample_sweep");
     group.sample_size(2);
 
-    let seeded = sweep_analysis(true);
+    let seeded = sweep_analysis(Seeding::Publish);
     group.bench_function("sample_sweep_64", |b| b.iter(|| run(&seeded)));
 
-    let unseeded = sweep_analysis(false);
+    let unseeded = sweep_analysis(Seeding::Off);
     group.bench_function("sample_sweep_64_unseeded", |b| b.iter(|| run(&unseeded)));
 
     for threads in [1usize, 2] {

@@ -18,8 +18,8 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 use vaem_fvm::{
-    postprocess, AcSolution, CoupledSolver, DcSolution, FvmError, SeedReuseStats, SolverOptions,
-    SolverTopology,
+    postprocess, AcSolution, CoupledSolver, DcSolution, FvmError, SeedReuseStats, Seeding,
+    SolverOptions, SolverTopology,
 };
 use vaem_mesh::{MeshError, NodeId, Structure};
 use vaem_numeric::dense::DMatrix;
@@ -713,13 +713,17 @@ impl VariationalAnalysis {
     }
 
     /// Solver options for the perturbed-sample workers: identical to the
-    /// configured options except that samples never *publish* symbolic
-    /// donors onto the shared topology. The nominal solve (run before the
-    /// fan-out) is the single designated donor, so which pivot sequence
-    /// seeds the sweep can never depend on worker timing.
+    /// configured options except that samples never *publish* donors onto
+    /// the shared topology. The nominal solve (run before the fan-out) is
+    /// the single designated donor, so which pivot sequence seeds the sweep
+    /// can never depend on worker timing.
     fn sample_solver_options(&self) -> SolverOptions {
+        let seeding = match self.config.solver.seeding {
+            Seeding::Off => Seeding::Off,
+            Seeding::Consume | Seeding::Publish => Seeding::Consume,
+        };
         SolverOptions {
-            publish_symbolic: false,
+            seeding,
             ..self.config.solver.clone()
         }
     }
@@ -732,8 +736,7 @@ impl VariationalAnalysis {
     /// recovery solve must never become the donor for healthy samples.
     fn recovery_solver_options(&self) -> SolverOptions {
         SolverOptions {
-            publish_symbolic: false,
-            reuse_symbolic: false,
+            seeding: Seeding::Off,
             linear_solver: SolverKind::DirectLu,
             ..self.config.solver.clone()
         }
@@ -1670,15 +1673,12 @@ impl<'a> Engine<'a> {
     /// republish only costs later samples their warm seed, so it is
     /// counted, never fatal.
     fn refresh_donors(&mut self, inputs: &[SampleInput], slots: &mut [Slot<'a>], frequency: f64) {
-        let solver = &self.analysis.config.solver;
-        if !solver.reuse_symbolic {
+        if self.analysis.config.solver.seeding == Seeding::Off
+            || !self.topology.clear_stale_donors(!self.refine)
+        {
             return;
         }
-        let rate = solver.donor_refresh_stale_rate;
-        let dc_cleared = !self.refine && self.topology.clear_dc_donor_if_stale(rate);
-        let ac_cleared = self.topology.clear_ac_donor_if_stale(rate);
-        let widest = VariationalAnalysis::widest_excursion(inputs);
-        let Some(widest) = widest.filter(|_| dc_cleared || ac_cleared) else {
+        let Some(widest) = VariationalAnalysis::widest_excursion(inputs) else {
             return;
         };
         if let Err(error) = self.republish(&mut slots[widest], &inputs[widest], frequency) {
@@ -2046,7 +2046,7 @@ mod tests {
 
     /// A sub-threshold-mesh analysis whose DC/AC systems take the direct-LU
     /// strategy, so the cross-sample symbolic seeding actually engages.
-    fn tiny_direct_analysis(reuse_symbolic: bool) -> VariationalAnalysis {
+    fn tiny_direct_analysis(seeding: Seeding) -> VariationalAnalysis {
         let structure = build_metalplug_structure(&MetalPlugConfig::tiny());
         let mut config = AnalysisConfig::new(QuantitySet::InterfaceCurrent {
             terminal: "plug1".to_string(),
@@ -2054,7 +2054,7 @@ mod tests {
         config.mc_runs = 8;
         config.energy_fraction = 0.85;
         config.max_reduced_per_group = 2;
-        config.solver.reuse_symbolic = reuse_symbolic;
+        config.solver.seeding = seeding;
         config.variations = VariationSpec {
             roughness: None,
             doping: Some(DopingVariationConfig {
@@ -2086,7 +2086,7 @@ mod tests {
 
     #[test]
     fn seeded_sample_sweep_is_bit_identical_to_the_unseeded_path() {
-        let seeded = tiny_direct_analysis(true).run().unwrap();
+        let seeded = tiny_direct_analysis(Seeding::Publish).run().unwrap();
         // The nominal solve published donors for both stages, and the
         // doping perturbations stayed on the nominal pivot sequences.
         assert!(seeded.seed_reuse.dc_seeded, "{:?}", seeded.seed_reuse);
@@ -2094,7 +2094,7 @@ mod tests {
         assert_eq!(seeded.seed_reuse.dc_stale_refactorizations, 0);
         assert_eq!(seeded.seed_reuse.ac_stale_refactorizations, 0);
 
-        let unseeded = tiny_direct_analysis(false).run().unwrap();
+        let unseeded = tiny_direct_analysis(Seeding::Off).run().unwrap();
         assert!(!unseeded.seed_reuse.dc_seeded);
         assert_eq!(
             result_bits(&seeded),

@@ -61,6 +61,6 @@ pub use ac::AcSolution;
 pub use dc::DcSolution;
 pub use error::FvmError;
 pub use solver::{
-    AcOperator, AcSweepOperator, CoupledSolver, EmMode, SeedReuseStats, SolverOptions,
+    AcOperator, AcSweepOperator, CoupledSolver, EmMode, SeedReuseStats, Seeding, SolverOptions,
     SolverTopology,
 };

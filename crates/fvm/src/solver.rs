@@ -5,12 +5,13 @@ use crate::terminals::{label_terminals, TerminalMap};
 use crate::{AcSolution, DcSolution, FvmError};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use vaem_mesh::{Axis, LinkId, Material, NodeId, Structure};
-use vaem_numeric::Complex64;
+use vaem_numeric::{Complex64, Scalar};
 use vaem_physics::{constants, DopingProfile, MaterialTable, SiliconParams};
 use vaem_sparse::{
-    IluSeed, LinearSolver, PreparedSolver, SolverKind, SparsityPattern, SymbolicLu, TripletMatrix,
+    CsrMatrix, IluSeed, LinearSolver, PreparedSolver, SolverKind, SparsityPattern, SymbolicLu,
+    TripletMatrix,
 };
 
 /// Electromagnetic modelling depth of the AC stage.
@@ -43,41 +44,9 @@ pub struct SolverOptions {
     pub newton_max_iterations: usize,
     /// Newton convergence tolerance on the potential update (V).
     pub newton_tolerance: f64,
-    /// Reuse the solver state published on the shared [`SolverTopology`]
-    /// by the first solve — normally the nominal sample: the symbolic LU
-    /// phase (ordering selection + pivot structure) so every later sample's
-    /// direct factorizations are numeric-only, and the ILU(0) values so
-    /// samples on iterative strategies start from the nominal's
-    /// preconditioner (their lazy refresh policy rebuilding only when it
-    /// degrades). On by default; turn off to force each solver through its
-    /// own full analysis (the direct results are bit-identical as long as
-    /// the perturbed pivots stay on the donor's sequence, which the seeded
-    /// refactorization verifies per column, re-pivoting locally when they
-    /// do not).
-    pub reuse_symbolic: bool,
-    /// Allow this solver to *publish* its symbolic phases as the shared
-    /// topology's donors. Publishing additionally requires `reuse_symbolic`
-    /// — turning reuse off disables the whole seeding path, donors
-    /// included. On by default so sequentially shared topologies
-    /// self-seed. When many solvers share a topology **concurrently**,
-    /// leave publishing on for exactly one designated donor (the nominal
-    /// sample, solved before the fan-out) and turn it off for the rest —
-    /// otherwise which solver's pivot sequence wins the publication race
-    /// depends on thread timing, and with it the (bitwise) results of
-    /// every later seeded solve. The analysis layer does exactly this for
-    /// its sample workers.
-    pub publish_symbolic: bool,
-    /// Stale-refactorization rate (stale reports per factorization report,
-    /// both counted since the current donor was published) above which a
-    /// *publishing* solver that itself just re-pivoted replaces the shared
-    /// donor with its own freshly recorded symbolic phase. The first donor
-    /// (normally the nominal sample) is a good seed for small excursions,
-    /// but on wide parameter excursions every sample can end up re-pivoting
-    /// from scratch while the topology still hands out the stale donor; the
-    /// refresh policy swaps in a pivot sequence recorded from the current
-    /// excursion instead. Set to `f64::INFINITY` to pin the first donor
-    /// forever (the pre-refresh behaviour).
-    pub donor_refresh_stale_rate: f64,
+    /// How this solver takes part in the cross-sample reuse of the shared
+    /// [`SolverTopology`]'s donor factorizations (see [`Seeding`]).
+    pub seeding: Seeding,
 }
 
 impl Default for SolverOptions {
@@ -89,35 +58,73 @@ impl Default for SolverOptions {
             linear_solver: SolverKind::Auto,
             newton_max_iterations: 60,
             newton_tolerance: 1e-9,
-            reuse_symbolic: true,
-            publish_symbolic: true,
-            donor_refresh_stale_rate: 0.5,
+            seeding: Seeding::Publish,
         }
     }
 }
 
-/// A republishable donor symbolic phase plus its health bookkeeping.
+/// How a solver uses the donor factorizations published on its shared
+/// [`SolverTopology`]: the symbolic LU phase (ordering selection + pivot
+/// structure), so direct factorizations are numeric-only, and the ILU(0)
+/// values, so iterative strategies start from the donor's preconditioner
+/// (their lazy refresh policy rebuilding only when it degrades).
+///
+/// Seeded direct results are bit-identical to unseeded ones as long as the
+/// perturbed pivots stay on the donor's sequence, which the seeded
+/// refactorization verifies per column, re-pivoting locally when they do
+/// not.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Seeding {
+    /// Every solve runs its own full analysis; the donors are neither read
+    /// nor written (stale re-pivots are still counted).
+    Off,
+    /// Start from the published donors but never publish. When many
+    /// solvers share a topology **concurrently**, all but one designated
+    /// donor (the nominal sample, solved before the fan-out) must consume
+    /// only — otherwise which pivot sequence fills the slot depends on
+    /// thread timing, and with it the bitwise results of every later seeded
+    /// solve. The analysis layer runs its sample workers this way.
+    Consume,
+    /// Consume, and fill an empty donor slot with this solve's own
+    /// factorization (first publisher wins), so sequentially shared
+    /// topologies self-seed. The default.
+    Publish,
+}
+
+/// Stale-refactorization rate (stale re-pivots per seed consumer since the
+/// current donor was published) above which
+/// [`SolverTopology::clear_stale_donors`] drops a donor. The first donor
+/// (normally the nominal sample) seeds small excursions well, but on wide
+/// parameter excursions every sample can end up re-pivoting from scratch
+/// against it.
+const DONOR_REFRESH_STALE_RATE: f64 = 0.5;
+
+/// Reads a donor slot (a slot only ever holds a fully written value).
+fn read_slot<X>(lock: &RwLock<X>) -> RwLockReadGuard<'_, X> {
+    lock.read().expect("donor slot lock poisoned")
+}
+
+/// Writes a donor slot.
+fn write_slot<X>(lock: &RwLock<X>) -> RwLockWriteGuard<'_, X> {
+    lock.write().expect("donor slot lock poisoned")
+}
+
+/// A publishable donor symbolic phase plus its health bookkeeping.
 ///
 /// The first publisher fills the slot (for the analysis fan-outs that is
-/// deterministically the nominal sample, solved before the workers start).
-/// Afterwards the slot tracks how the donor performs: every *counted*
-/// factorization report bumps `window_reports` (one per seed consumer —
-/// a DC solve or an AC operator's first frequency, NOT every grid point of
-/// a sweep, which would dilute the rate below any threshold), every
-/// stale-pivot re-pivot bumps `window_stale`, and both windows reset when
-/// a new donor lands. When the windowed stale rate crosses the configured
-/// threshold and a *publishing* solver reports a re-pivot, its freshly
-/// recorded pivot structure replaces the donor — see
-/// [`SolverOptions::donor_refresh_stale_rate`].
+/// deterministically the nominal sample, solved before the workers start);
+/// a filled slot is never replaced by a later solve. Afterwards the slot
+/// tracks how the donor performs: every *counted* factorization report
+/// bumps `window_reports` (one per seed consumer — a DC solve or an AC
+/// operator's first frequency, NOT every grid point of a sweep, which would
+/// dilute the rate below any threshold), every stale-pivot re-pivot bumps
+/// `window_stale`, and both windows reset when a new donor lands. The
+/// windowed rate is what [`SolverTopology::clear_stale_donors`] judges at
+/// the orchestration's single-threaded barriers.
 ///
 /// The window counters are plain atomics updated outside the donor lock:
-/// under concurrent reporting a handful of counts can land between a
-/// publisher's rate check and its window reset and be dropped from the new
-/// donor's window. The rate is a refresh heuristic, never a correctness
-/// input, and the deterministic orchestration (workers don't publish;
-/// refresh decisions happen at single-threaded barriers) doesn't hit the
-/// race at all — so the approximation is accepted rather than paid for
-/// with a write-lock on every report.
+/// the rate is a refresh heuristic, never a correctness input, and it is
+/// only read at barriers, after every concurrent report has landed.
 #[derive(Debug, Default)]
 struct DonorSlot {
     donor: RwLock<Option<SymbolicLu>>,
@@ -128,25 +135,18 @@ struct DonorSlot {
     window_stale: AtomicU64,
     /// Cumulative stale re-pivots (never reset; surfaced in the stats).
     total_stale: AtomicU64,
-    /// How many times the refresh policy replaced (or dropped) the donor.
+    /// How many times a barrier dropped a stale donor.
     refreshes: AtomicU64,
 }
 
 impl DonorSlot {
     /// A cheap seeding handle onto the current donor, if one is published.
     fn seed(&self) -> Option<SymbolicLu> {
-        self.donor
-            .read()
-            .expect("donor slot lock poisoned")
-            .as_ref()
-            .map(SymbolicLu::seed_from)
+        read_slot(&self.donor).as_ref().map(SymbolicLu::seed_from)
     }
 
     fn is_published(&self) -> bool {
-        self.donor
-            .read()
-            .expect("donor slot lock poisoned")
-            .is_some()
+        read_slot(&self.donor).is_some()
     }
 
     /// Stale re-pivots per counted factorization report (seed consumer)
@@ -160,65 +160,39 @@ impl DonorSlot {
     }
 
     /// Records one factorization report: `stale_delta` not-yet-reported
-    /// re-pivots, `count_report` whether this report represents a new seed
-    /// consumer (an AC sweep reports once per grid point but consumes the
-    /// donor only at its first frequency — counting every point would
-    /// dilute the stale rate with the sweep length), and — when `publish`
-    /// allows it and `symbolic` carries a recorded structure — publishes
-    /// the first donor or, if this report itself re-pivoted while the
-    /// windowed stale rate exceeds `refresh_rate`, republishes a fresher
-    /// one.
-    fn note(
-        &self,
-        symbolic: Option<&SymbolicLu>,
-        publish: bool,
-        stale_delta: u64,
-        count_report: bool,
-        refresh_rate: f64,
-    ) {
-        let reports = if count_report {
-            self.window_reports.fetch_add(1, Ordering::Relaxed) + 1
-        } else {
-            self.window_reports.load(Ordering::Relaxed).max(1)
-        };
-        let stale = if stale_delta > 0 {
-            self.total_stale.fetch_add(stale_delta, Ordering::Relaxed);
-            self.window_stale.fetch_add(stale_delta, Ordering::Relaxed) + stale_delta
-        } else {
-            self.window_stale.load(Ordering::Relaxed)
-        };
-        if !publish {
-            return;
+    /// re-pivots, and `count_report` whether this report represents a new
+    /// seed consumer (an AC sweep reports once per grid point but consumes
+    /// the donor only at its first frequency). `publish` carries the
+    /// reporter's symbolic phase when it may fill an empty slot.
+    fn note(&self, publish: Option<&SymbolicLu>, stale_delta: u64, count_report: bool) {
+        if count_report {
+            self.window_reports.fetch_add(1, Ordering::Relaxed);
         }
-        let Some(symbolic) = symbolic.filter(|s| s.has_structure()) else {
+        if stale_delta > 0 {
+            self.total_stale.fetch_add(stale_delta, Ordering::Relaxed);
+            self.window_stale.fetch_add(stale_delta, Ordering::Relaxed);
+        }
+        let Some(symbolic) = publish.filter(|s| s.has_structure()) else {
             return;
         };
-        let mut slot = self.donor.write().expect("donor slot lock poisoned");
+        let mut slot = write_slot(&self.donor);
         if slot.is_none() {
             *slot = Some(symbolic.seed_from());
-            self.reset_window();
-        } else if stale_delta > 0 && stale as f64 > refresh_rate * reports as f64 {
-            // This publisher's cached pivots went stale and re-pivoted from
-            // scratch, so its recorded structure reflects the *current*
-            // excursion — swap it in for the worn-out donor.
-            *slot = Some(symbolic.seed_from());
-            self.refreshes.fetch_add(1, Ordering::Relaxed);
             self.reset_window();
         }
     }
 
-    /// Drops the donor when its windowed stale rate exceeds the threshold,
-    /// so the next publishing solve re-donates from its own (fresh)
-    /// symbolic analysis. Returns `true` when a donor was dropped.
-    fn clear_if_stale(&self, rate_threshold: f64) -> bool {
-        if self.window_stale.load(Ordering::Relaxed) == 0 || self.stale_rate() <= rate_threshold {
+    /// Drops the donor when its windowed stale rate exceeds
+    /// [`DONOR_REFRESH_STALE_RATE`], so the next publishing solve re-donates
+    /// from its own (fresh) symbolic analysis. Returns `true` when a donor
+    /// was dropped.
+    fn clear_if_stale(&self) -> bool {
+        if self.stale_rate() <= DONOR_REFRESH_STALE_RATE {
             return false;
         }
-        let mut slot = self.donor.write().expect("donor slot lock poisoned");
-        if slot.is_none() {
+        if write_slot(&self.donor).take().is_none() {
             return false;
         }
-        *slot = None;
         self.refreshes.fetch_add(1, Ordering::Relaxed);
         self.reset_window();
         true
@@ -230,16 +204,140 @@ impl DonorSlot {
     }
 }
 
+/// The cross-sample state of one operator (the DC Jacobian or the AC
+/// operator) on a shared [`SolverTopology`]: its sparsity pattern (the
+/// unknown ordering is topology-only, so it is shared across samples and
+/// iterations), the donor symbolic LU and the donor ILU(0).
+///
+/// Both donors are published by the first solve that prepares the matching
+/// strategy — the nominal sample, when the analysis layer solves it before
+/// fanning the samples out — and seeded into every later solver's first
+/// factorization. An ILU(0) recipient's lazy refresh policy decides
+/// locally if and when to rebuild from its own values, so a worn donation
+/// self-corrects without any shared health window; a stale symbolic donor
+/// is dropped at barriers (see [`SolverTopology::clear_stale_donors`]).
+#[derive(Debug, Default)]
+struct SharedOperator<T: Scalar> {
+    pattern: OnceLock<SparsityPattern>,
+    donor: DonorSlot,
+    ilu_donor: RwLock<Option<IluSeed<T>>>,
+}
+
+/// One solver's factorization of an operator whose pattern and donors live
+/// in a [`SharedOperator`]: the CSR on the fixed pattern, the prepared
+/// linear solver and its stale-pivot fallbacks already reported (the
+/// prepared solver's counter is cumulative).
+#[derive(Debug, Clone, Default)]
+struct OperatorState<T: Scalar> {
+    matrix: Option<CsrMatrix<T>>,
+    prepared: Option<PreparedSolver<T>>,
+    reported_stale: u64,
+    /// Whether this state has reported into the donor's health window yet.
+    reported: bool,
+}
+
+impl<T: Scalar> SharedOperator<T> {
+    /// Assembles `triplets` into `state`'s matrix and factorizes it. The
+    /// first call builds the CSR on the shared pattern (publishing the
+    /// pattern when none is cached) and prepares the linear solver, seeded
+    /// from the published donors unless `seeding` is off; later calls only
+    /// re-assemble the values and refactorize numerically.
+    fn factor<'p>(
+        &self,
+        state: &'p mut OperatorState<T>,
+        triplets: &TripletMatrix<T>,
+        linear: &LinearSolver,
+        seeding: Seeding,
+    ) -> Result<&'p mut PreparedSolver<T>, FvmError> {
+        let matrix = match state.matrix.as_mut() {
+            Some(cached) => {
+                triplets.assemble_into(cached)?;
+                &*cached
+            }
+            None => {
+                let n = triplets.rows();
+                let built = match self.pattern.get() {
+                    Some(p) if p.rows() == n && p.cols() == n => {
+                        let mut m = p.zeros();
+                        triplets.assemble_into(&mut m)?;
+                        m
+                    }
+                    _ => {
+                        let m = triplets.to_csr();
+                        let _ = self.pattern.set(SparsityPattern::of(&m));
+                        m
+                    }
+                };
+                &*state.matrix.insert(built)
+            }
+        };
+        match state.prepared {
+            Some(ref mut p) => {
+                p.refactor(matrix)?;
+                Ok(p)
+            }
+            None => {
+                let (symbolic, ilu) = match seeding {
+                    Seeding::Off => (None, None),
+                    Seeding::Consume | Seeding::Publish => (self.donor.seed(), self.ilu_seed()),
+                };
+                let p = linear.prepare_seeded(matrix, symbolic.as_ref(), ilu.as_ref())?;
+                Ok(state.prepared.insert(p))
+            }
+        }
+    }
+
+    /// Reports `state`'s new stale-pivot re-pivots into the shared
+    /// statistics (its first report counts as one seed consumer) and, when
+    /// `seeding` publishes, fills any empty donor slot from it.
+    fn report(&self, state: &mut OperatorState<T>, seeding: Seeding) {
+        let Some(prepared) = &state.prepared else {
+            return;
+        };
+        let total = prepared.direct_stale_fallbacks();
+        // `saturating_sub`: a replaced factorization (pattern change, Krylov
+        // rescue) starts a fresh counter below what was already reported —
+        // that must not wrap into a huge bogus delta.
+        let delta = total.saturating_sub(state.reported_stale);
+        let publish = seeding == Seeding::Publish;
+        self.donor.note(
+            prepared.direct_symbolic().filter(|_| publish),
+            delta,
+            !state.reported,
+        );
+        if publish {
+            let mut slot = write_slot(&self.ilu_donor);
+            if slot.is_none() {
+                *slot = prepared.ilu_donor();
+            }
+        }
+        state.reported_stale = total;
+        state.reported = true;
+    }
+
+    /// A clone of the published ILU(0) donation, if any.
+    // vaem-lint: cold seed extraction during solver handoff, once per solver
+    fn ilu_seed(&self) -> Option<IluSeed<T>> {
+        read_slot(&self.ilu_donor).clone()
+    }
+
+    fn ilu_published(&self) -> bool {
+        read_slot(&self.ilu_donor).is_some()
+    }
+}
+
 /// The perturbation-invariant part of a solver setup: terminal labelling,
-/// node–link adjacency, contact (Dirichlet) assignment and the cached
-/// sparsity patterns of the DC Jacobian and the AC operator.
+/// node–link adjacency, contact (Dirichlet) assignment, and the sparsity
+/// patterns and donor factorizations of the DC Jacobian and the AC
+/// operator.
 ///
 /// Surface-roughness perturbations move node positions but never change the
 /// mesh topology, so one `SolverTopology` — wrapped in an [`Arc`] — can be
 /// built from the nominal structure and shared read-only across every
 /// perturbed-sample solver of a sweep (and across the worker threads of
 /// `vaem_parallel`), instead of being rebuilt per sample. The sparsity
-/// patterns are populated lazily by the first solve that assembles them.
+/// patterns and donors are populated lazily by the first solve that
+/// assembles them.
 #[derive(Debug)]
 pub struct SolverTopology {
     terminals: TerminalMap,
@@ -249,33 +347,10 @@ pub struct SolverTopology {
     contact_of: Vec<Option<usize>>,
     node_count: usize,
     link_count: usize,
-    /// Structural pattern of the DC Newton Jacobian (unknown ordering is
-    /// topology-only, so it is shared across samples and iterations).
-    dc_pattern: OnceLock<SparsityPattern>,
-    /// Structural pattern of the AC (electro-quasi-static) operator.
-    ac_pattern: OnceLock<SparsityPattern>,
-    /// Donor symbolic LU of the DC Jacobian: published by the first DC
-    /// solve that prepares a direct factorization — the nominal sample,
-    /// when the analysis layer solves it before fanning the samples out —
-    /// and seeded into every later sample's Newton loop so their
-    /// factorizations are numeric-only from the first iteration. The slot
-    /// is refreshable: when the stale rate crosses the configured
-    /// threshold a fresher donor replaces it (see
-    /// [`SolverOptions::donor_refresh_stale_rate`]).
-    dc_donor: DonorSlot,
-    /// Donor symbolic LU of the AC operator (pattern-only state is
-    /// scalar-agnostic, so one cache serves the complex operator).
-    ac_donor: DonorSlot,
-    /// Donor ILU(0) values of the DC Jacobian — the Krylov-side mirror of
-    /// `dc_donor`, for meshes where the solvers prepare an iterative
-    /// strategy. First publisher wins (the nominal sample under the
-    /// analysis orchestration); each recipient's lazy refresh policy then
-    /// decides locally if and when to rebuild from its own values, so a
-    /// worn donation self-corrects without any shared health window.
-    dc_ilu_donor: RwLock<Option<IluSeed<f64>>>,
-    /// Donor ILU(0) values of the AC operator (complex-valued, so typed
-    /// separately from the DC slot).
-    ac_ilu_donor: RwLock<Option<IluSeed<Complex64>>>,
+    /// The DC Newton Jacobian.
+    dc: SharedOperator<f64>,
+    /// The AC (electro-quasi-static) operator.
+    ac: SharedOperator<Complex64>,
 }
 
 /// Aggregate symbolic-reuse statistics of one shared [`SolverTopology`]
@@ -296,7 +371,7 @@ pub struct SeedReuseStats {
     /// Total stale-pivot re-pivoting fallbacks across every AC operator
     /// that reported into this topology.
     pub ac_stale_refactorizations: u64,
-    /// How many times the donor-refresh policy replaced (or dropped) the
+    /// How many times [`SolverTopology::clear_stale_donors`] dropped the
     /// published DC donor because its stale rate crossed the threshold.
     pub dc_donor_refreshes: u64,
     /// Same, for the AC donor.
@@ -335,12 +410,8 @@ impl SolverTopology {
             contact_of,
             node_count: mesh.node_count(),
             link_count: mesh.link_count(),
-            dc_pattern: OnceLock::new(),
-            ac_pattern: OnceLock::new(),
-            dc_donor: DonorSlot::default(),
-            ac_donor: DonorSlot::default(),
-            dc_ilu_donor: RwLock::new(None),
-            ac_ilu_donor: RwLock::new(None),
+            dc: SharedOperator::default(),
+            ac: SharedOperator::default(),
         })
     }
 
@@ -349,126 +420,34 @@ impl SolverTopology {
         &self.terminals
     }
 
-    /// Aggregate symbolic-reuse statistics: whether DC/AC donor symbolic
-    /// phases have been published, how many stale-pivot re-pivots the
-    /// solvers sharing this topology have reported, and how many times the
-    /// refresh policy swapped in a fresher donor.
+    /// Aggregate symbolic-reuse statistics: whether DC/AC donors have been
+    /// published, how many stale-pivot re-pivots the solvers sharing this
+    /// topology have reported, and how many stale donors were dropped.
     pub fn seed_stats(&self) -> SeedReuseStats {
         SeedReuseStats {
-            dc_seeded: self.dc_donor.is_published(),
-            ac_seeded: self.ac_donor.is_published(),
-            dc_ilu_seeded: self
-                .dc_ilu_donor
-                .read()
-                .expect("ilu donor lock poisoned")
-                .is_some(),
-            ac_ilu_seeded: self
-                .ac_ilu_donor
-                .read()
-                .expect("ilu donor lock poisoned")
-                .is_some(),
-            dc_stale_refactorizations: self.dc_donor.total_stale.load(Ordering::Relaxed),
-            ac_stale_refactorizations: self.ac_donor.total_stale.load(Ordering::Relaxed),
-            dc_donor_refreshes: self.dc_donor.refreshes.load(Ordering::Relaxed),
-            ac_donor_refreshes: self.ac_donor.refreshes.load(Ordering::Relaxed),
+            dc_seeded: self.dc.donor.is_published(),
+            ac_seeded: self.ac.donor.is_published(),
+            dc_ilu_seeded: self.dc.ilu_published(),
+            ac_ilu_seeded: self.ac.ilu_published(),
+            dc_stale_refactorizations: self.dc.donor.total_stale.load(Ordering::Relaxed),
+            ac_stale_refactorizations: self.ac.donor.total_stale.load(Ordering::Relaxed),
+            dc_donor_refreshes: self.dc.donor.refreshes.load(Ordering::Relaxed),
+            ac_donor_refreshes: self.ac.donor.refreshes.load(Ordering::Relaxed),
         }
     }
 
-    /// Stale re-pivots per DC factorization report since the current DC
-    /// donor was published.
-    pub fn dc_stale_rate(&self) -> f64 {
-        self.dc_donor.stale_rate()
-    }
-
-    /// Stale re-pivots per AC refactorization report since the current AC
-    /// donor was published.
-    pub fn ac_stale_rate(&self) -> f64 {
-        self.ac_donor.stale_rate()
-    }
-
-    /// Drops the published DC donor when its observed stale rate exceeds
-    /// `rate_threshold`, so the next *publishing* DC solve re-donates from
-    /// its own fresh symbolic analysis. Returns `true` when a donor was
-    /// dropped. Orchestration layers call this at deterministic barriers
-    /// (between sweep stages) — the workers themselves never publish, so a
-    /// mid-fan-out refresh cannot depend on thread timing.
-    pub fn clear_dc_donor_if_stale(&self, rate_threshold: f64) -> bool {
-        self.dc_donor.clear_if_stale(rate_threshold)
-    }
-
-    /// [`SolverTopology::clear_dc_donor_if_stale`] for the AC donor.
-    pub fn clear_ac_donor_if_stale(&self, rate_threshold: f64) -> bool {
-        self.ac_donor.clear_if_stale(rate_threshold)
-    }
-
-    /// Publishes a donor symbolic phase / accumulates stale-refactorization
-    /// counts from a finished DC prepared solver. The first publisher wins
-    /// (deterministically the nominal sample when the analysis layer runs
-    /// it before the fan-out); later publishing reports can *replace* the
-    /// donor when the stale rate crossed `refresh_rate`, and non-publishing
-    /// ones only add their counters.
-    fn note_dc_factorization(
-        &self,
-        prepared: &PreparedSolver<f64>,
-        publish: bool,
-        refresh_rate: f64,
-    ) {
-        // One DC solve = one seed consumer: every report counts.
-        self.dc_donor.note(
-            prepared.direct_symbolic(),
-            publish,
-            prepared.direct_stale_fallbacks(),
-            true,
-            refresh_rate,
-        );
-        if publish {
-            publish_ilu_donor(&self.dc_ilu_donor, prepared);
-        }
-    }
-
-    /// [`SolverTopology::note_dc_factorization`] for the complex AC
-    /// operator; `stale_delta` is the number of not-yet-reported fallbacks
-    /// (the sweep operator reports incrementally, once per frequency) and
-    /// `count_report` marks the operator's first report — the one where
-    /// the donor was actually consumed. Later grid points only deliver
-    /// stale deltas, so a long sweep cannot dilute the stale rate below
-    /// the refresh threshold.
-    fn note_ac_factorization(
-        &self,
-        prepared: &PreparedSolver<Complex64>,
-        publish: bool,
-        stale_delta: u64,
-        count_report: bool,
-        refresh_rate: f64,
-    ) {
-        self.ac_donor.note(
-            prepared.direct_symbolic(),
-            publish,
-            stale_delta,
-            count_report,
-            refresh_rate,
-        );
-        if publish {
-            publish_ilu_donor(&self.ac_ilu_donor, prepared);
-        }
-    }
-
-    /// A cheap clone of the published DC ILU(0) donation, if any.
-    // vaem-lint: cold seed extraction during solver handoff, once per topology
-    fn dc_ilu_seed(&self) -> Option<IluSeed<f64>> {
-        self.dc_ilu_donor
-            .read()
-            .expect("ilu donor lock poisoned")
-            .clone()
-    }
-
-    /// A cheap clone of the published AC ILU(0) donation, if any.
-    // vaem-lint: cold seed extraction during solver handoff, once per topology
-    fn ac_ilu_seed(&self) -> Option<IluSeed<Complex64>> {
-        self.ac_ilu_donor
-            .read()
-            .expect("ilu donor lock poisoned")
-            .clone()
+    /// The one donor-refresh rule: drops each published symbolic donor
+    /// whose stale rate since publication exceeds 0.5 re-pivots per seed
+    /// consumer — the AC donor always, the DC donor only when `include_dc`
+    /// — so the next *publishing* solve re-donates from its own fresh
+    /// symbolic analysis. Returns `true` when a donor was dropped.
+    /// Orchestration layers call this at deterministic barriers (between
+    /// sweep stages); the workers themselves never publish, so a refresh
+    /// cannot depend on thread timing.
+    pub fn clear_stale_donors(&self, include_dc: bool) -> bool {
+        let dc = include_dc && self.dc.donor.clear_if_stale();
+        let ac = self.ac.donor.clear_if_stale();
+        dc || ac
     }
 
     /// Number of mesh nodes the topology was built for.
@@ -479,22 +458,6 @@ impl SolverTopology {
     /// Number of mesh links the topology was built for.
     pub fn link_count(&self) -> usize {
         self.link_count
-    }
-}
-
-/// Publishes a solver's ILU(0) factors (plus its healthy iteration
-/// baseline) into a shared donation slot — first publisher wins, solvers
-/// that prepared the direct strategy have nothing to donate.
-fn publish_ilu_donor<T: vaem_numeric::Scalar>(
-    slot: &RwLock<Option<IluSeed<T>>>,
-    prepared: &PreparedSolver<T>,
-) {
-    let Some(donation) = prepared.ilu_donor() else {
-        return;
-    };
-    let mut slot = slot.write().expect("ilu donor lock poisoned");
-    if slot.is_none() {
-        *slot = Some(donation);
     }
 }
 
@@ -548,6 +511,18 @@ impl<'a> CoupledSolver<'a> {
         topology: Arc<SolverTopology>,
     ) -> Result<Self, FvmError> {
         let mesh = &structure.mesh;
+        // Every comparison against a NaN tolerance is false, so a NaN would
+        // pass a non-converged operating point as converged.
+        let tolerance = options.newton_tolerance;
+        if !(tolerance.is_finite() && tolerance > 0.0) || options.newton_max_iterations == 0 {
+            return Err(FvmError::Configuration {
+                detail: format!(
+                    "Newton settings need a finite tolerance > 0 and at least one iteration; \
+                     got tolerance {tolerance} and {} iterations",
+                    options.newton_max_iterations
+                ),
+            });
+        }
         if doping.len() != mesh.node_count() {
             return Err(FvmError::Configuration {
                 detail: format!(
@@ -733,14 +708,12 @@ impl<'a> CoupledSolver<'a> {
         // vaem-lint: allow(H1) Newton workspace sized once per DC solve, reused across iterations
         let mut rhs = vec![0.0_f64; n_unknown];
         let mut jac = TripletMatrix::with_capacity(n_unknown, n_unknown, n_unknown * 7);
-        // CSR carrying the fixed Jacobian pattern; seeded from the shared
-        // topology cache when a previous sample already assembled it, and
-        // published there otherwise. Later iterations (and samples) only
-        // re-assemble the values.
-        let mut jac_csr: Option<vaem_sparse::CsrMatrix<f64>> = None;
-        // Linear solver prepared on the first iteration; every later Newton
-        // step refactorizes numerically against the cached symbolic phase.
-        let mut prepared: Option<PreparedSolver<f64>> = None;
+        // The Jacobian on the topology's shared pattern and its linear
+        // solver, prepared on the first iteration (seeded from the donors
+        // published by the nominal sample, so perturbed samples skip the
+        // ordering/DFS/pivot search or the ILU(0) build); every later Newton
+        // step only re-assembles the values and refactorizes numerically.
+        let mut jacobian = OperatorState::default();
 
         let mut iterations = 0usize;
         let mut update_norm = f64::INFINITY;
@@ -770,53 +743,11 @@ impl<'a> CoupledSolver<'a> {
                 rhs[ui] = -residual;
             }
 
-            let matrix = match jac_csr.as_mut() {
-                Some(cached) => {
-                    jac.assemble_into(cached)?;
-                    &*cached
-                }
-                None => {
-                    let built = match self.topology.dc_pattern.get() {
-                        Some(p) if p.rows() == n_unknown && p.cols() == n_unknown => {
-                            let mut m = p.zeros();
-                            jac.assemble_into(&mut m)?;
-                            m
-                        }
-                        _ => {
-                            let m = jac.to_csr();
-                            let _ = self.topology.dc_pattern.set(SparsityPattern::of(&m));
-                            m
-                        }
-                    };
-                    &*jac_csr.insert(built)
-                }
-            };
-            let (mut delta, _report) = match prepared.as_mut() {
-                Some(p) => {
-                    p.refactor(matrix)?;
-                    p.solve(&rhs)?
-                }
-                None => {
-                    // First iteration: seed the direct factorization from
-                    // the topology-shared donor symbolic phase (published
-                    // by the nominal sample) so perturbed samples skip the
-                    // ordering/DFS/pivot-search work entirely — and, on
-                    // meshes where the strategy comes out iterative, start
-                    // from the nominal's donated ILU(0) values instead of
-                    // building a preconditioner from scratch.
-                    let (seed, ilu_seed) = if self.options.reuse_symbolic {
-                        (self.topology.dc_donor.seed(), self.topology.dc_ilu_seed())
-                    } else {
-                        (None, None)
-                    };
-                    let p = prepared.insert(linear.prepare_seeded_with(
-                        matrix,
-                        seed.as_ref(),
-                        ilu_seed.as_ref(),
-                    )?);
-                    p.solve(&rhs)?
-                }
-            };
+            let (mut delta, _report) = self
+                .topology
+                .dc
+                .factor(&mut jacobian, &jac, &linear, self.options.seeding)?
+                .solve(&rhs)?;
 
             // A non-finite update poisons the operating point silently:
             // `f64::max` ignores NaN, so an all-NaN delta would pass both
@@ -861,16 +792,10 @@ impl<'a> CoupledSolver<'a> {
             });
         }
 
-        // Publish this solve's symbolic phase for later samples (first
+        // Publish this solve's factorization for later samples (first
         // publisher wins — the nominal, when the analysis pre-runs it) and
         // report stale-pivot re-pivots into the shared statistics.
-        if let Some(p) = &prepared {
-            self.topology.note_dc_factorization(
-                p,
-                self.options.reuse_symbolic && self.options.publish_symbolic,
-                self.options.donor_refresh_stale_rate,
-            );
-        }
+        self.topology.dc.report(&mut jacobian, self.options.seeding);
 
         // Carrier densities from the converged potential.
         // vaem-lint: allow(H1) carrier-density output arrays, once per converged DC solve
@@ -1035,9 +960,7 @@ impl<'a> CoupledSolver<'a> {
             node_y: vec![Complex64::ZERO; n_nodes],
             link_admittance: vec![Complex64::ZERO; mesh.link_count()],
             triplets: TripletMatrix::with_capacity(n_unknown, n_unknown, n_unknown * 7),
-            matrix: None,
-            prepared: None,
-            reported_stale: 0,
+            operator: OperatorState::default(),
             warm: None,
             omega: f64::NAN,
         })
@@ -1052,7 +975,6 @@ impl<'a> CoupledSolver<'a> {
         mesh: &vaem_mesh::CartesianMesh,
         potential: &[Complex64],
         link_admittance: &[Complex64],
-        omega: f64,
     ) -> Result<Vec<Complex64>, FvmError> {
         // Lookup from (axis, from-node) to link id for neighbour search.
         let mut by_from: HashMap<(usize, usize), usize> = HashMap::new(); // vaem-lint: allow(D1) lookup-only: filled once, then queried via .get(); never iterated, so no order dependence
@@ -1070,7 +992,6 @@ impl<'a> CoupledSolver<'a> {
         for lid in mesh.link_ids() {
             let l = lid.index();
             let link = mesh.link(lid);
-            let from_idx = mesh.grid_index(link.from);
             // Boundary links (touching the domain boundary) are pinned to 0.
             if mesh.is_boundary(link.from) || mesh.is_boundary(link.to) {
                 matrix.push(l, l, Complex64::ONE);
@@ -1088,13 +1009,11 @@ impl<'a> CoupledSolver<'a> {
                     }
                 }
             }
-            let _ = from_idx;
             matrix.push(l, l, diag);
             // Source: link current (conduction + displacement) times K.
             let current =
                 link_admittance[l] * (potential[link.from.index()] - potential[link.to.index()]);
             rhs[l] = -(current.scale(k_scale));
-            let _ = omega;
         }
 
         let linear = LinearSolver::new(self.options.linear_solver);
@@ -1134,14 +1053,9 @@ pub struct AcSweepOperator<'s, 'a> {
     link_admittance: Vec<Complex64>,
     /// Reused assembly buffer.
     triplets: TripletMatrix<Complex64>,
-    /// CSR with the fixed sparsity pattern, built at the first frequency
-    /// (from the topology-cached pattern when available).
-    matrix: Option<vaem_sparse::CsrMatrix<Complex64>>,
-    /// Linear solver prepared at the first frequency, refactorized since.
-    prepared: Option<PreparedSolver<Complex64>>,
-    /// Stale-pivot fallbacks already reported into the shared topology
-    /// statistics (the counter on the prepared solver is cumulative).
-    reported_stale: u64,
+    /// The operator on the topology's shared pattern and its linear
+    /// solver, prepared at the first frequency and refactorized since.
+    operator: OperatorState<Complex64>,
     /// Solution (on the unknown nodes) of the most recent
     /// [`AcSweepOperator::solve_at`], used to warm-start the next one.
     warm: Option<Vec<Complex64>>,
@@ -1212,71 +1126,20 @@ impl AcSweepOperator<'_, '_> {
             }
             self.triplets.push(ui, ui, diag);
         }
-        let n_unknown = self.unknowns.len();
-        let matrix = match self.matrix.as_mut() {
-            Some(cached) => {
-                self.triplets.assemble_into(cached)?;
-                &*cached
-            }
-            None => {
-                let built = match solver.topology.ac_pattern.get() {
-                    Some(p) if p.rows() == n_unknown && p.cols() == n_unknown => {
-                        let mut m = p.zeros();
-                        self.triplets.assemble_into(&mut m)?;
-                        m
-                    }
-                    _ => {
-                        let m = self.triplets.to_csr();
-                        let _ = solver.topology.ac_pattern.set(SparsityPattern::of(&m));
-                        m
-                    }
-                };
-                &*self.matrix.insert(built)
-            }
-        };
-
-        let first_frequency = self.prepared.is_none();
-        match self.prepared.as_mut() {
-            Some(p) => p.refactor(matrix)?,
-            None => {
-                // First frequency: seed the direct factorization from the
-                // topology-shared AC donor (published by the nominal
-                // sample's sweep), skipping this sample's symbolic phase;
-                // iterative strategies start from the donated ILU(0)
-                // values, with the lazy refresh policy deciding rebuilds.
-                let linear = LinearSolver::new(solver.options.linear_solver);
-                let (seed, ilu_seed) = if solver.options.reuse_symbolic {
-                    (
-                        solver.topology.ac_donor.seed(),
-                        solver.topology.ac_ilu_seed(),
-                    )
-                } else {
-                    (None, None)
-                };
-                self.prepared =
-                    Some(linear.prepare_seeded_with(matrix, seed.as_ref(), ilu_seed.as_ref())?);
-            }
-        }
-        // Publish the donor (first publisher wins) and report any new
-        // stale-pivot re-pivots into the shared statistics. Only the first
-        // frequency counts into the donor's health window — that is where
-        // the seed was consumed; later points merely refactor this
-        // operator's own (possibly re-recorded) structure.
-        if let Some(p) = &self.prepared {
-            let total = p.direct_stale_fallbacks();
-            // `saturating_sub`: a replaced factorization (pattern change,
-            // Krylov rescue) starts a fresh counter below what was already
-            // reported — that must not wrap into a huge bogus delta.
-            let delta = total.saturating_sub(self.reported_stale);
-            solver.topology.note_ac_factorization(
-                p,
-                solver.options.reuse_symbolic && solver.options.publish_symbolic,
-                delta,
-                first_frequency,
-                solver.options.donor_refresh_stale_rate,
-            );
-            self.reported_stale = total;
-        }
+        // Only the first frequency prepares (seeded from the donors the
+        // nominal sample's sweep published) and counts into the donor's
+        // health window — that is where the seed was consumed; later points
+        // merely refactorize this operator's own (possibly re-recorded)
+        // structure.
+        let linear = LinearSolver::new(solver.options.linear_solver);
+        let ac = &solver.topology.ac;
+        ac.factor(
+            &mut self.operator,
+            &self.triplets,
+            &linear,
+            solver.options.seeding,
+        )?;
+        ac.report(&mut self.operator, solver.options.seeding);
         self.omega = omega;
         Ok(())
     }
@@ -1371,6 +1234,7 @@ impl AcSweepOperator<'_, '_> {
     ) -> Result<(AcSolution, Vec<Complex64>), FvmError> {
         let solver = self.solver;
         let prepared = self
+            .operator
             .prepared
             .as_mut()
             .ok_or_else(|| FvmError::Configuration {
@@ -1416,12 +1280,9 @@ impl AcSweepOperator<'_, '_> {
 
         let vector_potential = match solver.options.em_mode {
             EmMode::ElectroQuasiStatic => None,
-            EmMode::FullWave => Some(solver.solve_vector_potential(
-                mesh,
-                &potential,
-                &self.link_admittance,
-                self.omega,
-            )?),
+            EmMode::FullWave => {
+                Some(solver.solve_vector_potential(mesh, &potential, &self.link_admittance)?)
+            }
         };
 
         let ac = AcSolution {
@@ -1619,7 +1480,7 @@ mod tests {
 
         // ...and must reproduce an unseeded solver bit for bit.
         let unseeded_options = SolverOptions {
-            reuse_symbolic: false,
+            seeding: Seeding::Off,
             ..SolverOptions::default()
         };
         let private = CoupledSolver::new(&s, &doping, unseeded_options).unwrap();
@@ -1754,120 +1615,167 @@ mod tests {
 
     /// 2×2 with a donor-friendly diagonal: the published pivot sequence is
     /// the diagonal one.
-    fn donor_matrix() -> vaem_sparse::CsrMatrix<f64> {
-        vaem_sparse::CsrMatrix::from_triplets(
-            2,
-            2,
-            &[(0, 0, 10.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 10.0)],
-        )
-    }
+    const DONOR: [(usize, usize, f64); 4] = [(0, 0, 10.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 10.0)];
 
     /// Same pattern, anti-diagonally dominant values: the donor's diagonal
     /// pivots fall below the refactorization tolerance, so every seeded
     /// consumer re-pivots from scratch.
-    fn hostile_matrix() -> vaem_sparse::CsrMatrix<f64> {
-        vaem_sparse::CsrMatrix::from_triplets(
-            2,
-            2,
-            &[(0, 0, 1.0e-14), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0e-14)],
-        )
+    const HOSTILE: [(usize, usize, f64); 4] =
+        [(0, 0, 1.0e-14), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0e-14)];
+
+    fn triplets<T: Scalar>(entries: &[(usize, usize, f64)]) -> TripletMatrix<T> {
+        let mut triplets = TripletMatrix::new(2, 2);
+        for &(r, c, v) in entries {
+            triplets.push(r, c, T::from_f64(v));
+        }
+        triplets
+    }
+
+    /// One fresh direct solver factoring `entries` against `slot` and
+    /// reporting into it, as a DC solve does; returns its stale re-pivots.
+    fn solve_slot<T: Scalar>(
+        slot: &SharedOperator<T>,
+        entries: &[(usize, usize, f64)],
+        seeding: Seeding,
+    ) -> u64 {
+        let mut state = OperatorState::default();
+        let linear = LinearSolver::new(SolverKind::DirectLu);
+        slot.factor(&mut state, &triplets(entries), &linear, seeding)
+            .unwrap();
+        slot.report(&mut state, seeding);
+        state.reported_stale
+    }
+
+    #[test]
+    fn publishing_consumer_that_repivots_keeps_the_first_donor_and_is_counted() {
+        // Publishing only fills an empty slot: a publishing consumer whose
+        // seeded factorization goes stale re-pivots locally and is counted,
+        // but the first donor stays until a barrier drops it.
+        let topology = SolverTopology::build(&parallel_plate(1.0)).unwrap();
+        assert_eq!(solve_slot(&topology.dc, &DONOR, Seeding::Publish), 0);
+        for _ in 0..3 {
+            assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Publish), 1);
+        }
+        let stats = topology.seed_stats();
+        assert!(stats.dc_seeded);
+        assert_eq!(stats.dc_donor_refreshes, 0);
+        assert_eq!(stats.dc_stale_refactorizations, 3);
+        // Still the nominal's diagonal pivots: they fit a nominal-like
+        // consumer and stay stale for the excursion.
+        assert_eq!(solve_slot(&topology.dc, &DONOR, Seeding::Consume), 0);
+        assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Consume), 1);
+    }
+
+    #[test]
+    fn infinite_refresh_rate_pins_the_first_donor() {
+        // Inside a solve the refresh threshold is effectively infinite:
+        // even a stale rate of 1.0, from consumers and publishers alike,
+        // leaves the first donor in place until a barrier judges it.
+        let topology = SolverTopology::build(&parallel_plate(1.0)).unwrap();
+        assert_eq!(solve_slot(&topology.ac, &DONOR, Seeding::Publish), 0);
+        for seeding in [Seeding::Consume, Seeding::Publish, Seeding::Consume] {
+            assert_eq!(solve_slot(&topology.ac, &HOSTILE, seeding), 1);
+        }
+        assert_eq!(topology.ac.donor.stale_rate(), 1.0);
+        let stats = topology.seed_stats();
+        assert!(stats.ac_seeded);
+        assert_eq!(stats.ac_donor_refreshes, 0);
+        assert_eq!(stats.ac_stale_refactorizations, 3);
+        assert_eq!(solve_slot(&topology.ac, &DONOR, Seeding::Consume), 0);
     }
 
     #[test]
     fn stale_donor_is_republished_once_the_stale_rate_crosses_the_threshold() {
-        // Regression test for the stale-donor lock-in: the topology used to
-        // keep the first published donor forever, so a wide parameter
-        // excursion re-pivoted every sample while `seed_reuse` still
-        // reported a healthy donor. The slot must swap in the publisher's
-        // freshly re-pivoted structure once the stale rate crosses the
-        // threshold.
-        let s = parallel_plate(1.0);
-        let topology = SolverTopology::build(&s).unwrap();
-        let linear = LinearSolver::new(SolverKind::DirectLu);
-        let refresh_rate = 0.5;
+        // A wide parameter excursion must not lock the nominal's pivots in
+        // forever: once the windowed stale rate crosses the threshold, the
+        // barrier drops the donor and the next publishing solve republishes
+        // its freshly re-pivoted structure.
+        let topology = SolverTopology::build(&parallel_plate(1.0)).unwrap();
+        assert_eq!(solve_slot(&topology.dc, &DONOR, Seeding::Publish), 0);
 
-        // The nominal publisher donates the diagonal pivot sequence.
-        let donor = linear.prepare(&donor_matrix()).unwrap();
-        topology.note_dc_factorization(&donor, true, refresh_rate);
+        // One stale publisher out of two sits at the threshold: kept.
+        assert_eq!(solve_slot(&topology.dc, &DONOR, Seeding::Publish), 0);
+        assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Publish), 1);
+        assert!(!topology.clear_stale_donors(true));
+        assert_eq!(topology.seed_stats().dc_donor_refreshes, 0);
+
+        // A second stale publisher crosses it: the barrier drops the donor.
+        assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Publish), 1);
+        assert!(topology.clear_stale_donors(true));
         let stats = topology.seed_stats();
-        assert!(stats.dc_seeded);
-        assert_eq!(stats.dc_donor_refreshes, 0);
+        assert!(!stats.dc_seeded);
+        assert_eq!(stats.dc_donor_refreshes, 1);
+        assert_eq!(stats.dc_stale_refactorizations, 2);
 
-        // A publishing consumer hits the excursion: its seeded
-        // factorization goes stale, re-pivots locally, and — with the stale
-        // rate now above the threshold — replaces the donor.
-        let seed = topology.dc_donor.seed();
-        let stale = linear
-            .prepare_seeded(&hostile_matrix(), seed.as_ref())
-            .unwrap();
-        assert_eq!(stale.direct_stale_fallbacks(), 1);
-        topology.note_dc_factorization(&stale, true, refresh_rate);
-        let stats = topology.seed_stats();
-        assert_eq!(stats.dc_donor_refreshes, 1, "{stats:?}");
-        assert_eq!(stats.dc_stale_refactorizations, 1);
-
-        // The refreshed donor was recorded from the excursion's values, so
-        // the next consumer stays on the numeric-only path.
-        let seed = topology.dc_donor.seed();
-        let fresh = linear
-            .prepare_seeded(&hostile_matrix(), seed.as_ref())
-            .unwrap();
+        // The next publisher republishes from the excursion's values, so
+        // later consumers stay on the numeric-only path.
+        assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Publish), 0);
+        assert!(topology.seed_stats().dc_seeded);
         assert_eq!(
-            fresh.direct_stale_fallbacks(),
+            solve_slot(&topology.dc, &HOSTILE, Seeding::Consume),
             0,
-            "refreshed donor must fit the excursion"
+            "republished donor must fit the excursion"
         );
-        topology.note_dc_factorization(&fresh, true, refresh_rate);
         assert_eq!(topology.seed_stats().dc_donor_refreshes, 1);
     }
 
     #[test]
     fn non_publishing_reports_never_replace_the_donor_and_barrier_clear_engages() {
         // The analysis fan-out: samples report staleness but must not
-        // republish (publish = false keeps the donor identity independent
-        // of worker timing). The orchestration layer then clears the
-        // worn-out donor at a deterministic barrier instead.
-        let s = parallel_plate(1.0);
-        let topology = SolverTopology::build(&s).unwrap();
-        let linear = LinearSolver::new(SolverKind::DirectLu);
-        let donor = linear.prepare(&donor_matrix()).unwrap();
-        topology.note_dc_factorization(&donor, true, 0.5);
+        // publish (keeping the donor identity independent of worker
+        // timing). The orchestration layer then clears the worn-out donor
+        // at a deterministic barrier instead.
+        let topology = SolverTopology::build(&parallel_plate(1.0)).unwrap();
+        solve_slot(&topology.dc, &DONOR, Seeding::Publish);
+        assert!(!topology.clear_stale_donors(true), "nothing went stale");
 
-        for _ in 0..4 {
-            let seed = topology.dc_donor.seed();
-            let stale = linear
-                .prepare_seeded(&hostile_matrix(), seed.as_ref())
-                .unwrap();
-            assert_eq!(stale.direct_stale_fallbacks(), 1);
-            topology.note_dc_factorization(&stale, false, 0.5);
+        // One stale consumer out of two sits exactly at the threshold.
+        assert_eq!(solve_slot(&topology.dc, &DONOR, Seeding::Consume), 0);
+        assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Consume), 1);
+        assert_eq!(topology.dc.donor.stale_rate(), 0.5);
+        assert!(!topology.clear_stale_donors(true));
+
+        for _ in 0..3 {
+            assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Consume), 1);
         }
         let stats = topology.seed_stats();
         assert!(stats.dc_seeded, "non-publishers must not touch the donor");
         assert_eq!(stats.dc_donor_refreshes, 0);
         assert_eq!(stats.dc_stale_refactorizations, 4);
-        assert!(topology.dc_stale_rate() > 0.5);
 
-        // Barrier refresh: below the observed rate nothing happens; at a
-        // lower threshold the donor is dropped (and counted) so the next
-        // publisher re-donates.
-        assert!(!topology.clear_dc_donor_if_stale(1.0));
-        assert!(topology.clear_dc_donor_if_stale(0.5));
+        // Above the threshold the barrier drops (and counts) the donor.
+        assert!(topology.clear_stale_donors(true));
         let stats = topology.seed_stats();
         assert!(!stats.dc_seeded);
         assert_eq!(stats.dc_donor_refreshes, 1);
         // Re-clearing without new staleness is a no-op.
-        assert!(!topology.clear_dc_donor_if_stale(0.5));
+        assert!(!topology.clear_stale_donors(true));
 
         // The next publisher fills the empty slot with excursion-fresh
         // pivots and consumers stop re-pivoting.
-        let republished = linear.prepare(&hostile_matrix()).unwrap();
-        topology.note_dc_factorization(&republished, true, 0.5);
+        assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Publish), 0);
         assert!(topology.seed_stats().dc_seeded);
-        let seed = topology.dc_donor.seed();
-        let consumer = linear
-            .prepare_seeded(&hostile_matrix(), seed.as_ref())
-            .unwrap();
-        assert_eq!(consumer.direct_stale_fallbacks(), 0);
+        assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Consume), 0);
+    }
+
+    #[test]
+    fn refine_barrier_drops_a_stale_ac_donor_and_keeps_the_dc_one() {
+        // While refining, samples keep their DC operating points, so the
+        // barrier judges only the AC donor.
+        let topology = SolverTopology::build(&parallel_plate(1.0)).unwrap();
+        solve_slot(&topology.dc, &DONOR, Seeding::Publish);
+        solve_slot(&topology.ac, &DONOR, Seeding::Publish);
+        for _ in 0..2 {
+            assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Consume), 1);
+            assert_eq!(solve_slot(&topology.ac, &HOSTILE, Seeding::Consume), 1);
+        }
+        assert!(topology.clear_stale_donors(false));
+        let stats = topology.seed_stats();
+        assert!(stats.dc_seeded && !stats.ac_seeded, "{stats:?}");
+        assert_eq!((stats.dc_donor_refreshes, stats.ac_donor_refreshes), (0, 1));
+        // A full barrier still finds the DC donor stale.
+        assert!(topology.clear_stale_donors(true));
+        assert!(!topology.seed_stats().dc_seeded);
     }
 
     #[test]
@@ -1875,48 +1783,64 @@ mod tests {
         // An AC operator reports once per grid point but consumes the donor
         // only at its first frequency; if every report counted into the
         // denominator, a 9-point sweep would pin the stale rate at ~1/9 per
-        // stale sample and the 0.5 threshold would be unreachable.
-        let slot = DonorSlot::default();
-        let mut donor_sym = SymbolicLu::analyze(&donor_matrix()).unwrap();
-        donor_sym.factor(&donor_matrix()).unwrap();
-        slot.note(Some(&donor_sym), true, 0, true, 0.5);
-        assert!(slot.is_published());
-
-        // Eight later grid points of a sweeping consumer: stale-free,
-        // non-counting — the window must stay empty.
-        for _ in 0..8 {
-            slot.note(None, false, 0, false, 0.5);
+        // stale sample and the barrier's 0.5 threshold would be
+        // unreachable.
+        let topology = SolverTopology::build(&parallel_plate(1.0)).unwrap();
+        solve_slot(&topology.ac, &DONOR, Seeding::Publish);
+        let linear = LinearSolver::new(SolverKind::DirectLu);
+        let hostile = triplets::<Complex64>(&HOSTILE);
+        let mut sweep = OperatorState::default();
+        for _ in 0..9 {
+            topology
+                .ac
+                .factor(&mut sweep, &hostile, &linear, Seeding::Consume)
+                .unwrap();
+            topology.ac.report(&mut sweep, Seeding::Consume);
         }
-        assert_eq!(slot.stale_rate(), 0.0);
-        assert_eq!(slot.window_reports.load(Ordering::Relaxed), 0);
-
-        // The consumer's first (seed-consuming) report went stale: one
-        // stale over one counted report crosses the threshold even though
-        // nine reports arrived in total, and a publishing consumer
-        // replaces the donor.
-        let mut fresh = SymbolicLu::analyze(&hostile_matrix()).unwrap();
-        fresh.factor(&hostile_matrix()).unwrap();
-        slot.note(Some(&fresh), true, 1, true, 0.5);
-        assert_eq!(slot.refreshes.load(Ordering::Relaxed), 1);
+        assert_eq!(topology.ac.donor.window_reports.load(Ordering::Relaxed), 1);
+        assert_eq!(topology.seed_stats().ac_stale_refactorizations, 1);
+        assert_eq!(topology.ac.donor.stale_rate(), 1.0);
+        assert!(topology.clear_stale_donors(false));
     }
 
     #[test]
-    fn infinite_refresh_rate_pins_the_first_donor() {
-        let s = parallel_plate(1.0);
-        let topology = SolverTopology::build(&s).unwrap();
-        let linear = LinearSolver::new(SolverKind::DirectLu);
-        let donor = linear.prepare(&donor_matrix()).unwrap();
-        topology.note_dc_factorization(&donor, true, f64::INFINITY);
-        for _ in 0..3 {
-            let seed = topology.dc_donor.seed();
-            let stale = linear
-                .prepare_seeded(&hostile_matrix(), seed.as_ref())
-                .unwrap();
-            topology.note_dc_factorization(&stale, true, f64::INFINITY);
+    fn invalid_newton_settings_are_a_configuration_error() {
+        use vaem_mesh::structures::metalplug::{build_metalplug_structure, MetalPlugConfig};
+        let s = build_metalplug_structure(&MetalPlugConfig::tiny());
+        let semis = s.semiconductor_nodes();
+        let doping = DopingProfile::uniform_donor(s.mesh.node_count(), &semis, 1.0e5);
+        let one_step = SolverOptions {
+            newton_max_iterations: 1,
+            ..SolverOptions::default()
+        };
+        // Every comparison against NaN is false, so a NaN tolerance would
+        // pass this one-step (unconverged) Newton solve as converged.
+        for newton_tolerance in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
+            let options = SolverOptions {
+                newton_tolerance,
+                ..one_step.clone()
+            };
+            assert!(
+                matches!(
+                    CoupledSolver::new(&s, &doping, options),
+                    Err(FvmError::Configuration { .. })
+                ),
+                "tolerance {newton_tolerance} must be rejected"
+            );
         }
-        let stats = topology.seed_stats();
-        assert_eq!(stats.dc_donor_refreshes, 0);
-        assert_eq!(stats.dc_stale_refactorizations, 3);
+        let no_steps = SolverOptions {
+            newton_max_iterations: 0,
+            ..SolverOptions::default()
+        };
+        assert!(matches!(
+            CoupledSolver::new(&s, &doping, no_steps),
+            Err(FvmError::Configuration { .. })
+        ));
+        let solver = CoupledSolver::new(&s, &doping, one_step).unwrap();
+        assert!(matches!(
+            solver.solve_dc(),
+            Err(FvmError::NewtonDidNotConverge { .. })
+        ));
     }
 
     #[test]

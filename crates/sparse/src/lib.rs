@@ -23,8 +23,9 @@
 //! * [`rcm`] and [`amd`] — reverse Cuthill–McKee and approximate minimum
 //!   degree orderings; [`SymbolicLu`] keeps whichever [`predicted_fill`]
 //!   scores better for the pattern at hand.
-//! * [`LinearSolver`] — a front-end that picks a strategy and reports
-//!   [`SolveReport`] statistics.
+//! * [`LinearSolver`] — a front-end that picks a strategy ([`SolverKind`]:
+//!   `Auto`, with its BiCGSTAB → GMRES → direct-LU fallback chain,
+//!   `DirectLu` or `IluBiCgStab`) and reports [`SolveReport`] statistics.
 //!
 //! # Example
 //!

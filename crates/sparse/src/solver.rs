@@ -53,8 +53,6 @@ pub enum SolverKind {
     DirectLu,
     /// ILU(0)-preconditioned BiCGSTAB only.
     IluBiCgStab,
-    /// ILU(0)-preconditioned restarted GMRES only.
-    IluGmres,
 }
 
 /// Statistics describing how a linear solve was performed.
@@ -75,6 +73,11 @@ pub struct SolveReport {
 
 /// Front-end that equilibrates the system and dispatches to the configured
 /// solver, with automatic fallbacks in [`SolverKind::Auto`] mode.
+///
+/// There are two ways in: [`LinearSolver::prepare`] factors one operator
+/// for many right-hand sides (the one-shot [`LinearSolver::solve`] is a
+/// prepare plus one solve), and [`LinearSolver::prepare_seeded`] does the
+/// same starting from a sibling solver's donor symbolic LU and/or ILU(0).
 ///
 /// # Example
 /// ```
@@ -219,14 +222,15 @@ impl LinearSolver {
     /// # Errors
     /// Propagates factorization failures of the selected strategy.
     pub fn prepare<T: Scalar>(&self, a: &CsrMatrix<T>) -> Result<PreparedSolver<T>, SparseError> {
-        self.prepare_seeded(a, None)
+        self.prepare_seeded(a, None, None)
     }
 
-    /// [`LinearSolver::prepare`] with an optional **donor symbolic phase**
-    /// for the direct strategy.
+    /// [`LinearSolver::prepare`] with optional donors from a sibling solver
+    /// on the same pattern: a **symbolic phase** for the direct strategy and
+    /// an **ILU(0)** for the iterative ones.
     ///
     /// Variation-aware sweeps factorize many small perturbations of one
-    /// nominal operator: when `seed` holds a [`SymbolicLu`] whose pattern
+    /// nominal operator: when `symbolic` holds a [`SymbolicLu`] whose pattern
     /// matches `a` (after equilibration — scaling changes values, never the
     /// pattern) and whose pivot structure is recorded, the direct
     /// factorization starts from [`SymbolicLu::seed_from`] and pays only
@@ -242,21 +246,8 @@ impl LinearSolver {
     /// threshold`](LinearSolver::with_seeded_direct_threshold) applies
     /// instead.
     ///
-    /// # Errors
-    /// Propagates factorization failures of the selected strategy.
-    pub fn prepare_seeded<T: Scalar>(
-        &self,
-        a: &CsrMatrix<T>,
-        seed: Option<&SymbolicLu>,
-    ) -> Result<PreparedSolver<T>, SparseError> {
-        self.prepare_seeded_with(a, seed, None)
-    }
-
-    /// [`LinearSolver::prepare_seeded`] with an additional **donor ILU(0)**
-    /// for the iterative strategies.
-    ///
-    /// The Krylov-side mirror of the direct donor: when the prepared
-    /// strategy ends up iterative and `ilu_seed` holds a preconditioner of
+    /// `ilu` is the Krylov-side mirror of the direct donor: when the prepared
+    /// strategy ends up iterative and `ilu` holds a preconditioner of
     /// the right dimension (donated by a sibling solver on the same pattern,
     /// see [`PreparedSolver::ilu_donor`]), the sample starts from the
     /// donor's ILU(0) values instead of building its own. The seeded
@@ -267,11 +258,11 @@ impl LinearSolver {
     ///
     /// # Errors
     /// Propagates factorization failures of the selected strategy.
-    pub fn prepare_seeded_with<T: Scalar>(
+    pub fn prepare_seeded<T: Scalar>(
         &self,
         a: &CsrMatrix<T>,
-        seed: Option<&SymbolicLu>,
-        ilu_seed: Option<&IluSeed<T>>,
+        symbolic: Option<&SymbolicLu>,
+        ilu: Option<&IluSeed<T>>,
     ) -> Result<PreparedSolver<T>, SparseError> {
         if a.rows() != a.cols() {
             return Err(SparseError::DimensionMismatch {
@@ -285,7 +276,7 @@ impl LinearSolver {
         }
         let (scaled, scaling) = RowColScaling::equilibrate(a);
         let ilu_state = |scaled: &CsrMatrix<T>| -> Result<IluRefresh<T>, SparseError> {
-            match ilu_seed {
+            match ilu {
                 Some(donated) if donated.ilu.dim() == scaled.rows() => {
                     Ok(IluRefresh::from_seed(donated))
                 }
@@ -293,24 +284,23 @@ impl LinearSolver {
             }
         };
         let factorization = match self.kind {
-            SolverKind::DirectLu => direct_factorization(&scaled, seed)?,
+            SolverKind::DirectLu => direct_factorization(&scaled, symbolic)?,
             SolverKind::IluBiCgStab => Factorization::Ilu {
                 state: ilu_state(&scaled)?,
                 gmres_fallback: false,
             },
-            SolverKind::IluGmres => Factorization::IluGmresOnly(ilu_state(&scaled)?),
             SolverKind::Auto => {
                 // A usable direct donor shifts the crossover: numeric-only
                 // seeded refactorization stays cheaper than a cold ILU(0)
                 // build up to the (much larger) seeded threshold.
-                let seeded = seed.is_some_and(|d| d.has_structure() && d.matches(&scaled));
+                let seeded = symbolic.is_some_and(|d| d.has_structure() && d.matches(&scaled));
                 let threshold = if seeded {
                     self.seeded_direct_threshold.max(self.direct_threshold)
                 } else {
                     self.direct_threshold
                 };
                 if a.rows() <= threshold {
-                    match direct_factorization(&scaled, seed) {
+                    match direct_factorization(&scaled, symbolic) {
                         Ok(direct) => direct,
                         Err(_) => Factorization::Ilu {
                             state: ilu_state(&scaled)?,
@@ -323,7 +313,7 @@ impl LinearSolver {
                             state,
                             gmres_fallback: true,
                         },
-                        Err(_) => direct_factorization(&scaled, seed)?,
+                        Err(_) => direct_factorization(&scaled, symbolic)?,
                     }
                 }
             }
@@ -342,7 +332,7 @@ impl LinearSolver {
 /// A donated ILU(0) preconditioner plus the donor's healthy iteration
 /// baseline — the Krylov-side counterpart of the [`SymbolicLu`] direct
 /// donor. Produced by [`PreparedSolver::ilu_donor`], consumed by
-/// [`LinearSolver::prepare_seeded_with`].
+/// [`LinearSolver::prepare_seeded`].
 #[derive(Debug, Clone)]
 pub struct IluSeed<T: Scalar> {
     ilu: Ilu0<T>,
@@ -381,8 +371,6 @@ enum Factorization<T: Scalar> {
         state: IluRefresh<T>,
         gmres_fallback: bool,
     },
-    /// ILU(0)-preconditioned GMRES only.
-    IluGmresOnly(IluRefresh<T>),
 }
 
 /// A direct sparse LU kept together with its symbolic phase (boxed inside
@@ -550,7 +538,6 @@ impl<T: Scalar> PreparedSolver<T> {
         match &self.factorization {
             Factorization::Direct(_) => "sparse-lu",
             Factorization::Ilu { .. } => "ilu0-bicgstab",
-            Factorization::IluGmresOnly(_) => "ilu0-gmres",
         }
     }
 
@@ -571,13 +558,11 @@ impl<T: Scalar> PreparedSolver<T> {
     /// Krylov-side counterpart of [`PreparedSolver::direct_symbolic`]. The
     /// seed carries this solver's healthy iteration baseline so the
     /// recipient's lazy-refresh policy can judge the donated factors
-    /// against it (see [`LinearSolver::prepare_seeded_with`]).
+    /// against it (see [`LinearSolver::prepare_seeded`]).
     // vaem-lint: cold donor-seed extraction, once per sweep
     pub fn ilu_donor(&self) -> Option<IluSeed<T>> {
-        let state = match &self.factorization {
-            Factorization::Ilu { state, .. } => state,
-            Factorization::IluGmresOnly(state) => state,
-            Factorization::Direct(_) => return None,
+        let Factorization::Ilu { state, .. } = &self.factorization else {
+            return None;
         };
         Some(IluSeed {
             ilu: state.ilu.clone(),
@@ -601,7 +586,6 @@ impl<T: Scalar> PreparedSolver<T> {
     pub fn ilu_rebuilds(&self) -> u64 {
         match &self.factorization {
             Factorization::Ilu { state, .. } => state.rebuilds,
-            Factorization::IluGmresOnly(state) => state.rebuilds,
             Factorization::Direct(_) => 0,
         }
     }
@@ -658,7 +642,6 @@ impl<T: Scalar> PreparedSolver<T> {
                 }
             }
             Factorization::Ilu { state, .. } => state.stale = true,
-            Factorization::IluGmresOnly(state) => state.stale = true,
         }
         self.scaled = scaled;
         self.scaling = scaling;
@@ -780,37 +763,6 @@ impl<T: Scalar> PreparedSolver<T> {
                     }
                 }
             }
-            Factorization::IluGmresOnly(state) => {
-                state.ensure_baselined(scaled);
-                let gmres = Gmres::new(*options);
-                let mut attempt = if inject_krylov {
-                    Err(forced_krylov())
-                } else {
-                    gmres.solve_with_workspace(
-                        scaled,
-                        &bs,
-                        Some(&state.ilu),
-                        guess_scaled.as_deref(),
-                        gmres_ws,
-                    )
-                };
-                if attempt.is_err()
-                    && !inject_krylov
-                    && state.stale
-                    && state.rebuild(scaled).is_ok()
-                {
-                    attempt = gmres.solve_with_workspace(
-                        scaled,
-                        &bs,
-                        Some(&state.ilu),
-                        guess_scaled.as_deref(),
-                        gmres_ws,
-                    );
-                }
-                let (y, it) = attempt?;
-                state.observe(it, "ilu0-gmres", scaled);
-                outcome = Some((y, "ilu0-gmres", it));
-            }
         }
         let (y, strategy, iterations) = match outcome {
             Some(result) => result,
@@ -907,11 +859,7 @@ mod tests {
         let a = laplacian_2d(10);
         let x_true: Vec<f64> = (0..a.rows()).map(|i| (i as f64 * 0.11).sin()).collect();
         let b = a.matvec(&x_true);
-        for kind in [
-            SolverKind::DirectLu,
-            SolverKind::IluBiCgStab,
-            SolverKind::IluGmres,
-        ] {
+        for kind in [SolverKind::DirectLu, SolverKind::IluBiCgStab] {
             let solver = LinearSolver::new(kind).with_options(KrylovOptions {
                 tolerance: 1e-12,
                 max_iterations: 5000,
@@ -968,7 +916,6 @@ mod tests {
         for (kind, nx, expect) in [
             (SolverKind::Auto, 8, "sparse-lu"),
             (SolverKind::IluBiCgStab, 14, "ilu0-bicgstab"),
-            (SolverKind::IluGmres, 10, "ilu0-gmres"),
         ] {
             let a = laplacian_2d(nx);
             let solver = LinearSolver::new(kind);
@@ -1166,7 +1113,7 @@ mod tests {
         let x_true: Vec<f64> = (0..a.rows()).map(|i| (i as f64 * 0.23).sin()).collect();
         let b = shifted.matvec(&x_true);
 
-        let mut seeded = solver.prepare_seeded(&shifted, Some(seed)).unwrap();
+        let mut seeded = solver.prepare_seeded(&shifted, Some(seed), None).unwrap();
         assert_eq!(seeded.strategy(), "sparse-lu");
         assert_eq!(seeded.direct_stale_fallbacks(), 0);
         let (x_seeded, report) = seeded.solve(&b).unwrap();
@@ -1197,7 +1144,7 @@ mod tests {
 
         let donor = LinearSolver::new(SolverKind::DirectLu).prepare(&a).unwrap();
         let seed = donor.direct_symbolic().unwrap();
-        let mut seeded = solver.prepare_seeded(&a, Some(seed)).unwrap();
+        let mut seeded = solver.prepare_seeded(&a, Some(seed), None).unwrap();
         assert_eq!(seeded.strategy(), "sparse-lu");
         let x_true: Vec<f64> = (0..a.rows()).map(|i| (i as f64 * 0.21).sin()).collect();
         let b = a.matvec(&x_true);
@@ -1209,14 +1156,17 @@ mod tests {
         // and a seedless or structureless donor never does.
         let tight = solver.clone().with_seeded_direct_threshold(200);
         assert_eq!(
-            tight.prepare_seeded(&a, Some(seed)).unwrap().strategy(),
+            tight
+                .prepare_seeded(&a, Some(seed), None)
+                .unwrap()
+                .strategy(),
             "ilu0-bicgstab"
         );
         let unrecorded = SymbolicLu::analyze(&a).unwrap();
         assert!(!unrecorded.has_structure());
         assert_eq!(
             solver
-                .prepare_seeded(&a, Some(&unrecorded))
+                .prepare_seeded(&a, Some(&unrecorded), None)
                 .unwrap()
                 .strategy(),
             "ilu0-bicgstab"
@@ -1243,7 +1193,7 @@ mod tests {
         // donated factors stay effective, so the lazy policy never rebuilds.
         let sample = varying_laplacian(20, 0.05, 1.0);
         let mut seeded = solver
-            .prepare_seeded_with(&sample, None, Some(&donation))
+            .prepare_seeded(&sample, None, Some(&donation))
             .unwrap();
         let (x, report) = seeded.solve(&sample.matvec(&x_true)).unwrap();
         assert!(vecops::relative_diff(&x, &x_true, 1e-30) < 1e-7);
@@ -1259,7 +1209,7 @@ mod tests {
         // policy rebuilds from the sample's own values.
         let harsh = varying_laplacian(20, 2.2, 2.5);
         let mut reseeded = solver
-            .prepare_seeded_with(&harsh, None, Some(&donation))
+            .prepare_seeded(&harsh, None, Some(&donation))
             .unwrap();
         let (xh, _) = reseeded.solve(&harsh.matvec(&x_true)).unwrap();
         assert!(vecops::relative_diff(&xh, &x_true, 1e-30) < 1e-6);
@@ -1272,7 +1222,7 @@ mod tests {
         // A wrong-dimension donation is ignored, not misapplied.
         let small = varying_laplacian(10, 0.0, 0.0);
         let mut fresh = solver
-            .prepare_seeded_with(&small, None, Some(&donation))
+            .prepare_seeded(&small, None, Some(&donation))
             .unwrap();
         let xs: Vec<f64> = (0..small.rows()).map(|i| (i as f64 * 0.3).cos()).collect();
         let (got, _) = fresh.solve(&small.matvec(&xs)).unwrap();
@@ -1287,7 +1237,7 @@ mod tests {
             .unwrap();
         let seed = donor.direct_symbolic().unwrap();
         let mut prepared = LinearSolver::new(SolverKind::DirectLu)
-            .prepare_seeded(&a, Some(seed))
+            .prepare_seeded(&a, Some(seed), None)
             .unwrap();
         let x_true: Vec<f64> = (0..a.rows()).map(|i| (i as f64 * 0.4).cos()).collect();
         let b = a.matvec(&x_true);
@@ -1531,7 +1481,7 @@ mod tests {
         let plan = Arc::new(FaultPlan::parse("ilu@sscm:0!").unwrap());
         let _guard = faults::scope(plan, FaultStage::Sscm, 0, 0);
         let mut seeded = solver
-            .prepare_seeded_with(&harsh, None, Some(&donation))
+            .prepare_seeded(&harsh, None, Some(&donation))
             .unwrap();
         let b = harsh.matvec(&x_true);
         let (x, report) = seeded
@@ -1551,7 +1501,7 @@ mod tests {
         // and answers iteratively — the non-looping baseline.
         drop(_guard);
         let mut refreshed = solver
-            .prepare_seeded_with(&harsh, None, Some(&donation))
+            .prepare_seeded(&harsh, None, Some(&donation))
             .unwrap();
         let (xr, _) = refreshed.solve(&b).unwrap();
         assert!(vecops::relative_diff(&xr, &x_true, 1e-30) < 1e-6);
