@@ -6,7 +6,10 @@
 //! whose DC and AC systems stay below the `Auto` direct-LU threshold: every
 //! sample factorizes direct sparse LUs, so the nominal sample's donated
 //! symbolic phase (ordering + pivot structure, shared through the
-//! `SolverTopology`) is what each worker starts from. `_unseeded` disables
+//! `SolverTopology`) is what each worker starts from. The donor is
+//! write-once: the nominal publishes it before the fan-out and it is never
+//! replaced, so one run pays 2 cold direct factorizations (the nominal's DC
+//! and AC operators) and every other prepare is seeded. `_unseeded` disables
 //! the reuse (`SolverOptions::seeding = Seeding::Off`) — the ratio between
 //! the two is the per-sample cost of the symbolic analysis and pivot
 //! discovery that seeding removes. The results of both variants are

@@ -40,7 +40,8 @@ fn main() {
         config.silicon_height
     );
     let slice =
-        postprocess::potential_slice(&solver, &ac.potential, Axis::Z, config.silicon_height, 1e-6);
+        postprocess::potential_slice(&solver, &ac.potential, Axis::Z, config.silicon_height, 1e-6)
+            .expect("the AC potential covers every mesh node");
     let min = slice.iter().map(|(_, v)| *v).fold(f64::INFINITY, f64::min);
     let max = slice
         .iter()

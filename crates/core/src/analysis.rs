@@ -791,24 +791,6 @@ impl VariationalAnalysis {
         Ok(outputs)
     }
 
-    /// The collocation input with the widest excursion: the greatest
-    /// squared magnitude of its variation inputs, the deterministic "how far
-    /// from nominal" measure that picks the donor republishing
-    /// representative. Strictly greatest wins and the earliest index breaks
-    /// ties, so the choice follows the input order, never worker timing.
-    fn widest_excursion(inputs: &[SampleInput]) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, input) in inputs.iter().enumerate() {
-            let offsets = input.facet_offsets.iter().flat_map(|(_, o)| o);
-            let magnitude = offsets.map(|x| x * x).sum::<f64>()
-                + input.doping_deltas.iter().map(|(_, d)| d * d).sum::<f64>();
-            if best.is_none_or(|(_, b)| magnitude > b) {
-                best = Some((i, magnitude));
-            }
-        }
-        best.map(|(i, _)| i)
-    }
-
     /// Validates a frequency grid for this analysis: finite, non-negative
     /// entries, and no DC point when the configured quantities divide by ω
     /// — failing up front instead of after the whole nominal grid has been
@@ -1142,9 +1124,8 @@ impl VariationalAnalysis {
     /// and the Monte-Carlo reference.
     ///
     /// This is the wave engine on a one-point grid at the configured
-    /// `frequency`, then a donor-refresh barrier and the Monte-Carlo stage,
-    /// which goes through the same evaluator and containment as the SSCM
-    /// samples.
+    /// `frequency`, then the Monte-Carlo stage, which goes through the same
+    /// evaluator and containment as the SSCM samples.
     ///
     /// # Errors
     /// Propagates solver, reduction and fitting failures.
@@ -1153,9 +1134,6 @@ impl VariationalAnalysis {
         let fixed = AdaptiveSweepOptions::fixed(1);
         let mut waves = self.run_waves(&frequency, &fixed, self.config.mc_runs)?;
         let engine = &mut waves.engine;
-        // The Monte-Carlo stage solves at the configured frequency, so that
-        // is where a refreshed AC donor is recorded.
-        engine.refresh_donors(&waves.inputs, &mut waves.slots, frequency[0]);
 
         // --- Monte-Carlo reference (full-rank sampling of every group).
         // Each run draws from its own `(seed, run)` stream — a pure
@@ -1400,9 +1378,6 @@ impl VariationalAnalysis {
         loop {
             let frequencies: Vec<f64> = points.iter().map(|p| p.0).collect();
             if waves > 0 {
-                // Refinement waves re-seed from donors that fit the spread,
-                // recorded at the wave's first (in-band) midpoint.
-                engine.refresh_donors(&inputs, &mut slots, frequencies[0]);
                 let options = self.sample_solver_options();
                 nominal_outputs = engine.nominal_wave(&mut nominal, &frequencies, options, None)?;
             }
@@ -1448,8 +1423,6 @@ impl VariationalAnalysis {
         Ok(Waves {
             engine,
             groups,
-            inputs,
-            slots,
             grid,
             reductions: reduction_summary,
             collocation_runs: sscm.run_count(),
@@ -1462,7 +1435,7 @@ impl VariationalAnalysis {
 
 /// The shared state of one analysis — solver topology, fault plan and
 /// containment record — and the steps every stage goes through: one
-/// contained fan-out, one containment rule and one donor refresh.
+/// contained fan-out and one containment rule.
 struct Engine<'a> {
     analysis: &'a VariationalAnalysis,
     /// Terminal labelling, adjacency and sparsity patterns are
@@ -1480,8 +1453,6 @@ struct Engine<'a> {
 struct Waves<'a> {
     engine: Engine<'a>,
     groups: Vec<VariationGroup>,
-    inputs: Vec<SampleInput>,
-    slots: Vec<Slot<'a>>,
     grid: Vec<PointRecord>,
     reductions: Vec<GroupReduction>,
     collocation_runs: usize,
@@ -1628,21 +1599,8 @@ impl<'a> Engine<'a> {
         Ok(outputs)
     }
 
-    /// The slot's kept state, or its perturbed problem built afresh.
-    fn take_state(
-        &self,
-        slot: &mut Slot<'a>,
-        input: &SampleInput,
-    ) -> Result<SampleState<'a>, AnalysisError> {
-        match slot.state.take() {
-            Some(state) => Ok(state),
-            None => self
-                .analysis
-                .sample_state(&input.facet_offsets, &input.doping_deltas),
-        }
-    }
-
-    /// Evaluates one slot, keeping its state only while refining.
+    /// Evaluates one slot from its kept state or its perturbed problem
+    /// built afresh, keeping the state only while refining.
     fn evaluate_slot(
         &self,
         slot: &mut Slot<'a>,
@@ -1650,7 +1608,12 @@ impl<'a> Engine<'a> {
         frequencies: &[f64],
         options: SolverOptions,
     ) -> Result<Vec<f64>, AnalysisError> {
-        let mut state = self.take_state(slot, input)?;
+        let mut state = match slot.state.take() {
+            Some(state) => state,
+            None => self
+                .analysis
+                .sample_state(&input.facet_offsets, &input.doping_deltas)?,
+        };
         let topology = &self.topology;
         let outputs =
             self.analysis
@@ -1659,59 +1622,6 @@ impl<'a> Engine<'a> {
             slot.state = Some(state);
         }
         outputs
-    }
-
-    /// Donor refresh barrier between stages or waves: when the previous
-    /// fan-out re-pivoted often enough that a donor is evidently stale for
-    /// this parameter spread, drop it and re-solve the widest collocation
-    /// excursion with the (publishing) configured options, reusing its
-    /// cached DC solution when there is one and recording the AC donor at
-    /// `frequency` — where the next fan-out solves. While refining, samples
-    /// keep their DC operating points, so only the AC donor can go stale.
-    /// The decision runs single-threaded on sums of per-sample counters, so
-    /// neither it nor the new donor depends on worker timing; a failed
-    /// republish only costs later samples their warm seed, so it is
-    /// counted, never fatal.
-    fn refresh_donors(&mut self, inputs: &[SampleInput], slots: &mut [Slot<'a>], frequency: f64) {
-        if self.analysis.config.solver.seeding == Seeding::Off
-            || !self.topology.clear_stale_donors(!self.refine)
-        {
-            return;
-        }
-        let Some(widest) = VariationalAnalysis::widest_excursion(inputs) else {
-            return;
-        };
-        if let Err(error) = self.republish(&mut slots[widest], &inputs[widest], frequency) {
-            self.health.counts.record(classify(&error));
-        }
-    }
-
-    /// Re-solves one slot with the configured (publishing) solver options,
-    /// reusing its cached DC solution when there is one.
-    fn republish(
-        &self,
-        slot: &mut Slot<'a>,
-        input: &SampleInput,
-        frequency: f64,
-    ) -> Result<(), AnalysisError> {
-        let mut state = self.take_state(slot, input)?;
-        let solver = CoupledSolver::with_topology(
-            &state.structure,
-            &state.doping,
-            self.analysis.config.solver.clone(),
-            self.topology.clone(),
-        )?;
-        let dc = match state.dc.take() {
-            Some(dc) => dc,
-            None => solver.solve_dc()?,
-        };
-        // One AC prepare republishes the AC donor alongside the DC one.
-        solver.prepare_ac(&dc, frequency)?;
-        state.dc = Some(dc);
-        if self.refine {
-            slot.state = Some(state);
-        }
-        Ok(())
     }
 }
 
@@ -2103,6 +2013,69 @@ mod tests {
              seeded   = {seeded:?}\n\
              unseeded = {unseeded:?}"
         );
+    }
+
+    #[test]
+    fn seeded_refinement_waves_match_the_unseeded_path() {
+        // Every refinement wave consumes the donors the nominal published
+        // in wave 0.
+        let sweep = |seeding: Seeding| {
+            let mut analysis = tiny_direct_analysis(seeding);
+            // Lightly doped silicon puts a transition in band, so the
+            // indicator has curvature to refine.
+            analysis.config.nominal_donor = 2.0e1;
+            let options = AdaptiveSweepOptions {
+                rel_tolerance: 1.0e-4,
+                max_points: 8,
+                max_depth: 3,
+            };
+            analysis
+                .run_adaptive_frequency_sweep(&[1.0e8, 1.0e9, 1.0e10], &options)
+                .unwrap()
+        };
+        let seeded = sweep(Seeding::Publish);
+        assert!(seeded.waves >= 1, "refinement never engaged");
+        let stats = seeded.sweep.seed_reuse;
+        assert!(stats.dc_seeded && stats.ac_seeded, "{stats:?}");
+        assert_eq!(
+            (
+                stats.dc_stale_refactorizations,
+                stats.ac_stale_refactorizations
+            ),
+            (0, 0)
+        );
+        assert_eq!((stats.dc_donor_refreshes, stats.ac_donor_refreshes), (0, 0));
+
+        let unseeded = sweep(Seeding::Off);
+        assert!(!unseeded.sweep.seed_reuse.ac_seeded);
+        assert_eq!(seeded.origins, unseeded.origins);
+        let (a, b) = (&seeded.sweep, &unseeded.sweep);
+        assert_eq!(a.frequencies, b.frequencies);
+        // Wave 0 factorizes at the donor's frequency, so the coarse points
+        // are bit-identical. A refinement wave's unseeded operator picks
+        // its own pivots at the wave's first midpoint, where the seeded
+        // one keeps the donor's (still valid) sequence: the two agree to
+        // rounding, amplified in the small standard deviations.
+        let close = |x: f64, y: f64, rel: f64| (x - y).abs() <= rel * y.abs();
+        let (p, q) = (&a.quantities[0], &b.quantities[0]);
+        for (k, origin) in seeded.origins.iter().enumerate() {
+            let triple = |r: &SweepQuantity| [r.nominal[k], r.sscm[k].mean, r.sscm[k].std];
+            let (x, y) = (triple(p), triple(q));
+            if *origin == PointOrigin::Coarse {
+                assert_eq!(x.map(f64::to_bits), y.map(f64::to_bits), "coarse point {k}");
+            } else {
+                assert!(
+                    close(x[0], y[0], 1e-12) && close(x[1], y[1], 1e-12),
+                    "point {k}"
+                );
+                assert!(
+                    close(x[2], y[2], 1e-8),
+                    "point {k}: std {} vs {}",
+                    x[2],
+                    y[2]
+                );
+            }
+        }
     }
 
     #[test]

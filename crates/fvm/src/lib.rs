@@ -17,7 +17,7 @@
 //!   point: node potentials and carrier densities.
 //! * [`AcSolution`] / [`CoupledSolver::solve_ac`] — frequency-domain coupled
 //!   solve around the operating point ([`CoupledSolver::prepare_ac`] returns
-//!   an [`AcOperator`] that factorizes once and solves every terminal
+//!   an [`AcSweepOperator`] that factorizes once and solves every terminal
 //!   excitation against the cached factorization). The default
 //!   [`EmMode::ElectroQuasiStatic`] solves the complex potential equation
 //!   with the full admittivity `σ + jωε` (metal conduction, dielectric
@@ -61,6 +61,5 @@ pub use ac::AcSolution;
 pub use dc::DcSolution;
 pub use error::FvmError;
 pub use solver::{
-    AcOperator, AcSweepOperator, CoupledSolver, EmMode, SeedReuseStats, Seeding, SolverOptions,
-    SolverTopology,
+    AcSweepOperator, CoupledSolver, EmMode, SeedReuseStats, Seeding, SolverOptions, SolverTopology,
 };

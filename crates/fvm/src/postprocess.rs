@@ -309,14 +309,27 @@ pub fn coupling_ratio_spectrum(
 /// Potential samples `(position, Re(V))` of all nodes lying on the plane
 /// `axis = coordinate` (within `tolerance`), used to regenerate the
 /// Fig. 2(b) potential map on the metal–semiconductor interface.
+///
+/// # Errors
+/// [`FvmError::Configuration`] when `potential` does not hold one value per
+/// mesh node.
 pub fn potential_slice(
     solver: &CoupledSolver<'_>,
     potential: &[Complex64],
     axis: Axis,
     coordinate: f64,
     tolerance: f64,
-) -> Vec<([f64; 3], f64)> {
+) -> Result<Vec<([f64; 3], f64)>, FvmError> {
     let mesh = &solver.structure().mesh;
+    if potential.len() != mesh.node_count() {
+        return Err(FvmError::Configuration {
+            detail: format!(
+                "potential has {} values but the mesh has {} nodes",
+                potential.len(),
+                mesh.node_count()
+            ),
+        });
+    }
     let mut out = Vec::new();
     for node in mesh.node_ids() {
         let p = mesh.position(node);
@@ -324,7 +337,7 @@ pub fn potential_slice(
             out.push((p, potential[node.index()].re));
         }
     }
-    out
+    Ok(out)
 }
 
 /// DC potential samples on a plane (same convention as [`potential_slice`]).
@@ -459,13 +472,32 @@ mod tests {
         let solver = CoupledSolver::new(&s, &doping, SolverOptions::default()).unwrap();
         let dc = solver.solve_dc().unwrap();
         let ac = solver.solve_ac(&dc, "plug1", 1.0e9).unwrap();
-        let slice = potential_slice(&solver, &ac.potential, Axis::Z, 10.0, 1e-6);
+        let slice = potential_slice(&solver, &ac.potential, Axis::Z, 10.0, 1e-6).unwrap();
         assert!(!slice.is_empty());
         for (p, _) in &slice {
             assert!((p[2] - 10.0).abs() < 1e-6);
         }
         let dc_slice = dc_potential_slice(&solver, &dc, Axis::Z, 10.0, 1e-6);
         assert_eq!(dc_slice.len(), slice.len());
+    }
+
+    #[test]
+    fn potential_slice_rejects_a_potential_of_the_wrong_length() {
+        let (s, doping) = coarse_setup();
+        let solver = CoupledSolver::new(&s, &doping, SolverOptions::default()).unwrap();
+        // Shorter than the mesh, with plane nodes past its end: indexing
+        // it would panic.
+        let short = vec![Complex64::ONE; s.mesh.node_count() / 2];
+        assert!(matches!(
+            potential_slice(&solver, &short, Axis::Z, 10.0, 1e-6),
+            Err(FvmError::Configuration { .. })
+        ));
+        // One value short or long: every plane node is in range, but the
+        // potential is not this mesh's.
+        for len in [s.mesh.node_count() - 1, s.mesh.node_count() + 1] {
+            let potential = vec![Complex64::ONE; len];
+            assert!(potential_slice(&solver, &potential, Axis::Z, 10.0, 1e-6).is_err());
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::terminals::{label_terminals, TerminalMap};
 use crate::{AcSolution, DcSolution, FvmError};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, OnceLock};
 use vaem_mesh::{Axis, LinkId, Material, NodeId, Structure};
 use vaem_numeric::{Complex64, Scalar};
 use vaem_physics::{constants, DopingProfile, MaterialTable, SiliconParams};
@@ -69,10 +69,12 @@ impl Default for SolverOptions {
 /// values, so iterative strategies start from the donor's preconditioner
 /// (their lazy refresh policy rebuilding only when it degrades).
 ///
-/// Seeded direct results are bit-identical to unseeded ones as long as the
-/// perturbed pivots stay on the donor's sequence, which the seeded
-/// refactorization verifies per column, re-pivoting locally when they do
-/// not.
+/// Seeded direct results are bit-identical to unseeded ones whenever an
+/// unseeded factorization would pick the donor's pivot sequence. Otherwise
+/// the seeded refactorization keeps the donor's sequence while its pivots
+/// stay usable (checked per column, re-pivoting locally when they do not),
+/// and the two agree to rounding — e.g. an AC operator first factorized at
+/// another frequency than the donor's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Seeding {
     /// Every solve runs its own full analysis; the donors are neither read
@@ -86,122 +88,9 @@ pub enum Seeding {
     /// solve. The analysis layer runs its sample workers this way.
     Consume,
     /// Consume, and fill an empty donor slot with this solve's own
-    /// factorization (first publisher wins), so sequentially shared
-    /// topologies self-seed. The default.
+    /// factorization (the first publisher wins for good), so sequentially
+    /// shared topologies self-seed. The default.
     Publish,
-}
-
-/// Stale-refactorization rate (stale re-pivots per seed consumer since the
-/// current donor was published) above which
-/// [`SolverTopology::clear_stale_donors`] drops a donor. The first donor
-/// (normally the nominal sample) seeds small excursions well, but on wide
-/// parameter excursions every sample can end up re-pivoting from scratch
-/// against it.
-const DONOR_REFRESH_STALE_RATE: f64 = 0.5;
-
-/// Reads a donor slot (a slot only ever holds a fully written value).
-fn read_slot<X>(lock: &RwLock<X>) -> RwLockReadGuard<'_, X> {
-    lock.read().expect("donor slot lock poisoned")
-}
-
-/// Writes a donor slot.
-fn write_slot<X>(lock: &RwLock<X>) -> RwLockWriteGuard<'_, X> {
-    lock.write().expect("donor slot lock poisoned")
-}
-
-/// A publishable donor symbolic phase plus its health bookkeeping.
-///
-/// The first publisher fills the slot (for the analysis fan-outs that is
-/// deterministically the nominal sample, solved before the workers start);
-/// a filled slot is never replaced by a later solve. Afterwards the slot
-/// tracks how the donor performs: every *counted* factorization report
-/// bumps `window_reports` (one per seed consumer — a DC solve or an AC
-/// operator's first frequency, NOT every grid point of a sweep, which would
-/// dilute the rate below any threshold), every stale-pivot re-pivot bumps
-/// `window_stale`, and both windows reset when a new donor lands. The
-/// windowed rate is what [`SolverTopology::clear_stale_donors`] judges at
-/// the orchestration's single-threaded barriers.
-///
-/// The window counters are plain atomics updated outside the donor lock:
-/// the rate is a refresh heuristic, never a correctness input, and it is
-/// only read at barriers, after every concurrent report has landed.
-#[derive(Debug, Default)]
-struct DonorSlot {
-    donor: RwLock<Option<SymbolicLu>>,
-    /// Counted factorization reports (seed consumers) since the current
-    /// donor was published.
-    window_reports: AtomicU64,
-    /// Stale re-pivots since the current donor was published.
-    window_stale: AtomicU64,
-    /// Cumulative stale re-pivots (never reset; surfaced in the stats).
-    total_stale: AtomicU64,
-    /// How many times a barrier dropped a stale donor.
-    refreshes: AtomicU64,
-}
-
-impl DonorSlot {
-    /// A cheap seeding handle onto the current donor, if one is published.
-    fn seed(&self) -> Option<SymbolicLu> {
-        read_slot(&self.donor).as_ref().map(SymbolicLu::seed_from)
-    }
-
-    fn is_published(&self) -> bool {
-        read_slot(&self.donor).is_some()
-    }
-
-    /// Stale re-pivots per counted factorization report (seed consumer)
-    /// since the current donor was published (0 when nothing went stale).
-    fn stale_rate(&self) -> f64 {
-        let stale = self.window_stale.load(Ordering::Relaxed);
-        if stale == 0 {
-            return 0.0;
-        }
-        stale as f64 / self.window_reports.load(Ordering::Relaxed).max(1) as f64
-    }
-
-    /// Records one factorization report: `stale_delta` not-yet-reported
-    /// re-pivots, and `count_report` whether this report represents a new
-    /// seed consumer (an AC sweep reports once per grid point but consumes
-    /// the donor only at its first frequency). `publish` carries the
-    /// reporter's symbolic phase when it may fill an empty slot.
-    fn note(&self, publish: Option<&SymbolicLu>, stale_delta: u64, count_report: bool) {
-        if count_report {
-            self.window_reports.fetch_add(1, Ordering::Relaxed);
-        }
-        if stale_delta > 0 {
-            self.total_stale.fetch_add(stale_delta, Ordering::Relaxed);
-            self.window_stale.fetch_add(stale_delta, Ordering::Relaxed);
-        }
-        let Some(symbolic) = publish.filter(|s| s.has_structure()) else {
-            return;
-        };
-        let mut slot = write_slot(&self.donor);
-        if slot.is_none() {
-            *slot = Some(symbolic.seed_from());
-            self.reset_window();
-        }
-    }
-
-    /// Drops the donor when its windowed stale rate exceeds
-    /// [`DONOR_REFRESH_STALE_RATE`], so the next publishing solve re-donates
-    /// from its own (fresh) symbolic analysis. Returns `true` when a donor
-    /// was dropped.
-    fn clear_if_stale(&self) -> bool {
-        if self.stale_rate() <= DONOR_REFRESH_STALE_RATE {
-            return false;
-        }
-        if write_slot(&self.donor).take().is_none() {
-            return false;
-        }
-        self.refreshes.fetch_add(1, Ordering::Relaxed);
-        self.reset_window();
-        true
-    }
-
-    fn reset_window(&self) {
-        self.window_reports.store(0, Ordering::Relaxed);
-        self.window_stale.store(0, Ordering::Relaxed);
-    }
 }
 
 /// The cross-sample state of one operator (the DC Jacobian or the AC
@@ -209,18 +98,20 @@ impl DonorSlot {
 /// unknown ordering is topology-only, so it is shared across samples and
 /// iterations), the donor symbolic LU and the donor ILU(0).
 ///
-/// Both donors are published by the first solve that prepares the matching
-/// strategy — the nominal sample, when the analysis layer solves it before
-/// fanning the samples out — and seeded into every later solver's first
-/// factorization. An ILU(0) recipient's lazy refresh policy decides
-/// locally if and when to rebuild from its own values, so a worn donation
-/// self-corrects without any shared health window; a stale symbolic donor
-/// is dropped at barriers (see [`SolverTopology::clear_stale_donors`]).
+/// Both donors are write-once: the first solve that prepares the matching
+/// strategy and publishes — the nominal sample, when the analysis layer
+/// solves it before fanning the samples out — fills the slot for good, and
+/// every later solver's first factorization is seeded from it. A seeded
+/// direct factorization whose pivots go stale re-pivots locally and is
+/// counted in `stale`; an ILU(0) recipient's lazy refresh policy decides
+/// locally if and when to rebuild from its own values.
 #[derive(Debug, Default)]
 struct SharedOperator<T: Scalar> {
     pattern: OnceLock<SparsityPattern>,
-    donor: DonorSlot,
-    ilu_donor: RwLock<Option<IluSeed<T>>>,
+    symbolic: OnceLock<SymbolicLu>,
+    ilu: OnceLock<IluSeed<T>>,
+    /// Stale-pivot re-pivots reported by every solver of this operator.
+    stale: AtomicU64,
 }
 
 /// One solver's factorization of an operator whose pattern and donors live
@@ -232,8 +123,6 @@ struct OperatorState<T: Scalar> {
     matrix: Option<CsrMatrix<T>>,
     prepared: Option<PreparedSolver<T>>,
     reported_stale: u64,
-    /// Whether this state has reported into the donor's health window yet.
-    reported: bool,
 }
 
 impl<T: Scalar> SharedOperator<T> {
@@ -279,17 +168,17 @@ impl<T: Scalar> SharedOperator<T> {
             None => {
                 let (symbolic, ilu) = match seeding {
                     Seeding::Off => (None, None),
-                    Seeding::Consume | Seeding::Publish => (self.donor.seed(), self.ilu_seed()),
+                    Seeding::Consume | Seeding::Publish => (self.symbolic.get(), self.ilu.get()),
                 };
-                let p = linear.prepare_seeded(matrix, symbolic.as_ref(), ilu.as_ref())?;
+                let p = linear.prepare_seeded(matrix, symbolic, ilu)?;
                 Ok(state.prepared.insert(p))
             }
         }
     }
 
     /// Reports `state`'s new stale-pivot re-pivots into the shared
-    /// statistics (its first report counts as one seed consumer) and, when
-    /// `seeding` publishes, fills any empty donor slot from it.
+    /// statistics and, when `seeding` publishes, fills any empty donor slot
+    /// from it.
     fn report(&self, state: &mut OperatorState<T>, seeding: Seeding) {
         let Some(prepared) = &state.prepared else {
             return;
@@ -299,30 +188,19 @@ impl<T: Scalar> SharedOperator<T> {
         // rescue) starts a fresh counter below what was already reported —
         // that must not wrap into a huge bogus delta.
         let delta = total.saturating_sub(state.reported_stale);
-        let publish = seeding == Seeding::Publish;
-        self.donor.note(
-            prepared.direct_symbolic().filter(|_| publish),
-            delta,
-            !state.reported,
-        );
-        if publish {
-            let mut slot = write_slot(&self.ilu_donor);
-            if slot.is_none() {
-                *slot = prepared.ilu_donor();
+        self.stale.fetch_add(delta, Ordering::Relaxed);
+        state.reported_stale = total;
+        if seeding != Seeding::Publish {
+            return;
+        }
+        if let Some(symbolic) = prepared.direct_symbolic().filter(|s| s.has_structure()) {
+            self.symbolic.get_or_init(|| symbolic.seed_from());
+        }
+        if self.ilu.get().is_none() {
+            if let Some(seed) = prepared.ilu_donor() {
+                self.ilu.get_or_init(|| seed);
             }
         }
-        state.reported_stale = total;
-        state.reported = true;
-    }
-
-    /// A clone of the published ILU(0) donation, if any.
-    // vaem-lint: cold seed extraction during solver handoff, once per solver
-    fn ilu_seed(&self) -> Option<IluSeed<T>> {
-        read_slot(&self.ilu_donor).clone()
-    }
-
-    fn ilu_published(&self) -> bool {
-        read_slot(&self.ilu_donor).is_some()
     }
 }
 
@@ -371,10 +249,10 @@ pub struct SeedReuseStats {
     /// Total stale-pivot re-pivoting fallbacks across every AC operator
     /// that reported into this topology.
     pub ac_stale_refactorizations: u64,
-    /// How many times [`SolverTopology::clear_stale_donors`] dropped the
-    /// published DC donor because its stale rate crossed the threshold.
+    /// Always 0: donors are write-once, so a published DC donor is never
+    /// refreshed. Kept so readers of these statistics keep their schema.
     pub dc_donor_refreshes: u64,
-    /// Same, for the AC donor.
+    /// Always 0, as `dc_donor_refreshes`.
     pub ac_donor_refreshes: u64,
 }
 
@@ -421,33 +299,19 @@ impl SolverTopology {
     }
 
     /// Aggregate symbolic-reuse statistics: whether DC/AC donors have been
-    /// published, how many stale-pivot re-pivots the solvers sharing this
-    /// topology have reported, and how many stale donors were dropped.
+    /// published and how many stale-pivot re-pivots the solvers sharing
+    /// this topology have reported.
     pub fn seed_stats(&self) -> SeedReuseStats {
         SeedReuseStats {
-            dc_seeded: self.dc.donor.is_published(),
-            ac_seeded: self.ac.donor.is_published(),
-            dc_ilu_seeded: self.dc.ilu_published(),
-            ac_ilu_seeded: self.ac.ilu_published(),
-            dc_stale_refactorizations: self.dc.donor.total_stale.load(Ordering::Relaxed),
-            ac_stale_refactorizations: self.ac.donor.total_stale.load(Ordering::Relaxed),
-            dc_donor_refreshes: self.dc.donor.refreshes.load(Ordering::Relaxed),
-            ac_donor_refreshes: self.ac.donor.refreshes.load(Ordering::Relaxed),
+            dc_seeded: self.dc.symbolic.get().is_some(),
+            ac_seeded: self.ac.symbolic.get().is_some(),
+            dc_ilu_seeded: self.dc.ilu.get().is_some(),
+            ac_ilu_seeded: self.ac.ilu.get().is_some(),
+            dc_stale_refactorizations: self.dc.stale.load(Ordering::Relaxed),
+            ac_stale_refactorizations: self.ac.stale.load(Ordering::Relaxed),
+            dc_donor_refreshes: 0,
+            ac_donor_refreshes: 0,
         }
-    }
-
-    /// The one donor-refresh rule: drops each published symbolic donor
-    /// whose stale rate since publication exceeds 0.5 re-pivots per seed
-    /// consumer — the AC donor always, the DC donor only when `include_dc`
-    /// — so the next *publishing* solve re-donates from its own fresh
-    /// symbolic analysis. Returns `true` when a donor was dropped.
-    /// Orchestration layers call this at deterministic barriers (between
-    /// sweep stages); the workers themselves never publish, so a refresh
-    /// cannot depend on thread timing.
-    pub fn clear_stale_donors(&self, include_dc: bool) -> bool {
-        let dc = include_dc && self.dc.donor.clear_if_stale();
-        let ac = self.ac.donor.clear_if_stale();
-        dc || ac
     }
 
     /// Number of mesh nodes the topology was built for.
@@ -792,9 +656,9 @@ impl<'a> CoupledSolver<'a> {
             });
         }
 
-        // Publish this solve's factorization for later samples (first
-        // publisher wins — the nominal, when the analysis pre-runs it) and
-        // report stale-pivot re-pivots into the shared statistics.
+        // Publish this solve's factorization for later samples (the first
+        // publisher wins for good — the nominal, when the analysis pre-runs
+        // it) and report stale-pivot re-pivots into the shared statistics.
         self.topology.dc.report(&mut jacobian, self.options.seeding);
 
         // Carrier densities from the converged potential.
@@ -820,7 +684,9 @@ impl<'a> CoupledSolver<'a> {
     }
 
     /// Solves the frequency-domain problem with 1 V applied to
-    /// `driven_terminal` and 0 V on every other contact.
+    /// `driven_terminal` and 0 V on every other contact. Other excitations
+    /// (complex, several contacts at once) go through
+    /// [`AcSweepOperator::solve`] on [`CoupledSolver::prepare_ac`].
     ///
     /// # Errors
     /// * [`FvmError::Configuration`] for an unknown terminal name.
@@ -831,25 +697,8 @@ impl<'a> CoupledSolver<'a> {
         driven_terminal: &str,
         frequency: f64,
     ) -> Result<AcSolution, FvmError> {
-        let mut excitations = BTreeMap::new();
-        excitations.insert(driven_terminal.to_string(), Complex64::ONE);
-        self.solve_ac_with_excitations(dc, &excitations, frequency, driven_terminal)
-    }
-
-    /// Solves the frequency-domain problem with explicit complex excitations
-    /// per contact name (unlisted contacts are grounded).
-    ///
-    /// # Errors
-    /// Same conditions as [`CoupledSolver::solve_ac`].
-    pub fn solve_ac_with_excitations(
-        &self,
-        dc: &DcSolution,
-        excitations: &BTreeMap<String, Complex64>,
-        frequency: f64,
-        driven_label: &str,
-    ) -> Result<AcSolution, FvmError> {
         self.prepare_ac(dc, frequency)?
-            .solve(excitations, driven_label)
+            .solve_terminal(driven_terminal)
     }
 
     /// Assembles and factorizes the frequency-domain operator once for a
@@ -1064,10 +913,6 @@ pub struct AcSweepOperator<'s, 'a> {
     omega: f64,
 }
 
-/// Backwards-compatible name of the single-frequency operator returned by
-/// [`CoupledSolver::prepare_ac`].
-pub type AcOperator<'s, 'a> = AcSweepOperator<'s, 'a>;
-
 impl AcSweepOperator<'_, '_> {
     /// Angular frequency ω (rad/s) of the current factorization.
     pub fn omega(&self) -> f64 {
@@ -1127,10 +972,8 @@ impl AcSweepOperator<'_, '_> {
             self.triplets.push(ui, ui, diag);
         }
         // Only the first frequency prepares (seeded from the donors the
-        // nominal sample's sweep published) and counts into the donor's
-        // health window — that is where the seed was consumed; later points
-        // merely refactorize this operator's own (possibly re-recorded)
-        // structure.
+        // nominal sample's sweep published); later points merely
+        // refactorize this operator's own (possibly re-recorded) structure.
         let linear = LinearSolver::new(solver.options.linear_solver);
         let ac = &solver.topology.ac;
         ac.factor(
@@ -1648,9 +1491,9 @@ mod tests {
 
     #[test]
     fn publishing_consumer_that_repivots_keeps_the_first_donor_and_is_counted() {
-        // Publishing only fills an empty slot: a publishing consumer whose
-        // seeded factorization goes stale re-pivots locally and is counted,
-        // but the first donor stays until a barrier drops it.
+        // Donors are write-once: a publishing consumer whose seeded
+        // factorization goes stale re-pivots locally and is counted, but the
+        // first donor stays for good.
         let topology = SolverTopology::build(&parallel_plate(1.0)).unwrap();
         assert_eq!(solve_slot(&topology.dc, &DONOR, Seeding::Publish), 0);
         for _ in 0..3 {
@@ -1661,22 +1504,22 @@ mod tests {
         assert_eq!(stats.dc_donor_refreshes, 0);
         assert_eq!(stats.dc_stale_refactorizations, 3);
         // Still the nominal's diagonal pivots: they fit a nominal-like
-        // consumer and stay stale for the excursion.
+        // consumer and stay stale for the excursion. An unseeded solve
+        // ignores them.
         assert_eq!(solve_slot(&topology.dc, &DONOR, Seeding::Consume), 0);
         assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Consume), 1);
+        assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Off), 0);
     }
 
     #[test]
     fn infinite_refresh_rate_pins_the_first_donor() {
-        // Inside a solve the refresh threshold is effectively infinite:
-        // even a stale rate of 1.0, from consumers and publishers alike,
-        // leaves the first donor in place until a barrier judges it.
+        // No stale rate ever refreshes a donor: even when every later solve
+        // re-pivots, consumers and publishers alike, the first donor stays.
         let topology = SolverTopology::build(&parallel_plate(1.0)).unwrap();
         assert_eq!(solve_slot(&topology.ac, &DONOR, Seeding::Publish), 0);
         for seeding in [Seeding::Consume, Seeding::Publish, Seeding::Consume] {
             assert_eq!(solve_slot(&topology.ac, &HOSTILE, seeding), 1);
         }
-        assert_eq!(topology.ac.donor.stale_rate(), 1.0);
         let stats = topology.seed_stats();
         assert!(stats.ac_seeded);
         assert_eq!(stats.ac_donor_refreshes, 0);
@@ -1685,108 +1528,38 @@ mod tests {
     }
 
     #[test]
-    fn stale_donor_is_republished_once_the_stale_rate_crosses_the_threshold() {
-        // A wide parameter excursion must not lock the nominal's pivots in
-        // forever: once the windowed stale rate crosses the threshold, the
-        // barrier drops the donor and the next publishing solve republishes
-        // its freshly re-pivoted structure.
-        let topology = SolverTopology::build(&parallel_plate(1.0)).unwrap();
-        assert_eq!(solve_slot(&topology.dc, &DONOR, Seeding::Publish), 0);
-
-        // One stale publisher out of two sits at the threshold: kept.
-        assert_eq!(solve_slot(&topology.dc, &DONOR, Seeding::Publish), 0);
-        assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Publish), 1);
-        assert!(!topology.clear_stale_donors(true));
-        assert_eq!(topology.seed_stats().dc_donor_refreshes, 0);
-
-        // A second stale publisher crosses it: the barrier drops the donor.
-        assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Publish), 1);
-        assert!(topology.clear_stale_donors(true));
-        let stats = topology.seed_stats();
-        assert!(!stats.dc_seeded);
-        assert_eq!(stats.dc_donor_refreshes, 1);
-        assert_eq!(stats.dc_stale_refactorizations, 2);
-
-        // The next publisher republishes from the excursion's values, so
-        // later consumers stay on the numeric-only path.
-        assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Publish), 0);
-        assert!(topology.seed_stats().dc_seeded);
-        assert_eq!(
-            solve_slot(&topology.dc, &HOSTILE, Seeding::Consume),
-            0,
-            "republished donor must fit the excursion"
-        );
-        assert_eq!(topology.seed_stats().dc_donor_refreshes, 1);
-    }
-
-    #[test]
     fn non_publishing_reports_never_replace_the_donor_and_barrier_clear_engages() {
         // The analysis fan-out: samples report staleness but must not
-        // publish (keeping the donor identity independent of worker
-        // timing). The orchestration layer then clears the worn-out donor
-        // at a deterministic barrier instead.
+        // publish, keeping the donor identity independent of worker timing.
+        // With write-once donors there is no barrier to clear them, so the
+        // donor a non-publisher sees is always the nominal's.
         let topology = SolverTopology::build(&parallel_plate(1.0)).unwrap();
-        solve_slot(&topology.dc, &DONOR, Seeding::Publish);
-        assert!(!topology.clear_stale_donors(true), "nothing went stale");
+        // Non-publishers never write, not even into an empty slot.
+        assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Consume), 0);
+        assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Off), 0);
+        assert!(!topology.seed_stats().dc_seeded);
 
-        // One stale consumer out of two sits exactly at the threshold.
+        assert_eq!(solve_slot(&topology.dc, &DONOR, Seeding::Publish), 0);
         assert_eq!(solve_slot(&topology.dc, &DONOR, Seeding::Consume), 0);
-        assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Consume), 1);
-        assert_eq!(topology.dc.donor.stale_rate(), 0.5);
-        assert!(!topology.clear_stale_donors(true));
-
-        for _ in 0..3 {
+        for _ in 0..4 {
             assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Consume), 1);
         }
         let stats = topology.seed_stats();
         assert!(stats.dc_seeded, "non-publishers must not touch the donor");
         assert_eq!(stats.dc_donor_refreshes, 0);
         assert_eq!(stats.dc_stale_refactorizations, 4);
-
-        // Above the threshold the barrier drops (and counts) the donor.
-        assert!(topology.clear_stale_donors(true));
-        let stats = topology.seed_stats();
-        assert!(!stats.dc_seeded);
-        assert_eq!(stats.dc_donor_refreshes, 1);
-        // Re-clearing without new staleness is a no-op.
-        assert!(!topology.clear_stale_donors(true));
-
-        // The next publisher fills the empty slot with excursion-fresh
-        // pivots and consumers stop re-pivoting.
-        assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Publish), 0);
-        assert!(topology.seed_stats().dc_seeded);
-        assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Consume), 0);
-    }
-
-    #[test]
-    fn refine_barrier_drops_a_stale_ac_donor_and_keeps_the_dc_one() {
-        // While refining, samples keep their DC operating points, so the
-        // barrier judges only the AC donor.
-        let topology = SolverTopology::build(&parallel_plate(1.0)).unwrap();
-        solve_slot(&topology.dc, &DONOR, Seeding::Publish);
-        solve_slot(&topology.ac, &DONOR, Seeding::Publish);
-        for _ in 0..2 {
-            assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Consume), 1);
-            assert_eq!(solve_slot(&topology.ac, &HOSTILE, Seeding::Consume), 1);
-        }
-        assert!(topology.clear_stale_donors(false));
-        let stats = topology.seed_stats();
-        assert!(stats.dc_seeded && !stats.ac_seeded, "{stats:?}");
-        assert_eq!((stats.dc_donor_refreshes, stats.ac_donor_refreshes), (0, 1));
-        // A full barrier still finds the DC donor stale.
-        assert!(topology.clear_stale_donors(true));
-        assert!(!topology.seed_stats().dc_seeded);
+        // The donor still holds the nominal's pivots.
+        assert_eq!(solve_slot(&topology.dc, &DONOR, Seeding::Consume), 0);
+        assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Consume), 1);
     }
 
     #[test]
     fn sweep_length_does_not_dilute_the_stale_rate() {
         // An AC operator reports once per grid point but consumes the donor
-        // only at its first frequency; if every report counted into the
-        // denominator, a 9-point sweep would pin the stale rate at ~1/9 per
-        // stale sample and the barrier's 0.5 threshold would be
-        // unreachable.
+        // only at its first frequency, so a 9-point sweep re-pivots once and
+        // is counted once, not once per point.
         let topology = SolverTopology::build(&parallel_plate(1.0)).unwrap();
-        solve_slot(&topology.ac, &DONOR, Seeding::Publish);
+        assert_eq!(solve_slot(&topology.ac, &DONOR, Seeding::Publish), 0);
         let linear = LinearSolver::new(SolverKind::DirectLu);
         let hostile = triplets::<Complex64>(&HOSTILE);
         let mut sweep = OperatorState::default();
@@ -1797,10 +1570,11 @@ mod tests {
                 .unwrap();
             topology.ac.report(&mut sweep, Seeding::Consume);
         }
-        assert_eq!(topology.ac.donor.window_reports.load(Ordering::Relaxed), 1);
-        assert_eq!(topology.seed_stats().ac_stale_refactorizations, 1);
-        assert_eq!(topology.ac.donor.stale_rate(), 1.0);
-        assert!(topology.clear_stale_donors(false));
+        let stats = topology.seed_stats();
+        assert!(stats.ac_seeded);
+        assert_eq!(stats.ac_stale_refactorizations, 1);
+        assert_eq!(stats.ac_donor_refreshes, 0);
+        assert_eq!(solve_slot(&topology.ac, &DONOR, Seeding::Consume), 0);
     }
 
     #[test]

@@ -232,9 +232,9 @@ mod tests {
 
     #[test]
     fn log_det_matches_lu_det() {
-        let a = spd3();
-        let c = Cholesky::new(&a).unwrap();
-        let det = a.lu().unwrap().det();
-        assert!((c.log_det() - det.ln()).abs() < 1e-10);
+        // Cofactor expansion of spd3's determinant along the first row:
+        // 4·(5·3 − 1·1) − 2·(2·3 − 1·0.6) + 0.6·(2·1 − 5·0.6) = 44.6.
+        let c = Cholesky::new(&spd3()).unwrap();
+        assert!((c.log_det() - 44.6_f64.ln()).abs() < 1e-12);
     }
 }

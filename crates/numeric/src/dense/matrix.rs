@@ -1,6 +1,6 @@
 //! Row-major dense matrix generic over [`Scalar`].
 
-use crate::{NumericError, Scalar};
+use crate::Scalar;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -251,24 +251,6 @@ impl<T: Scalar> DMatrix<T> {
     /// Maximum modulus entry.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().map(|v| v.modulus()).fold(0.0, f64::max)
-    }
-
-    /// LU factorization with partial pivoting.
-    ///
-    /// # Errors
-    /// Returns [`NumericError::Singular`] when a pivot is exactly zero and
-    /// [`NumericError::DimensionMismatch`] for non-square matrices.
-    pub fn lu(&self) -> Result<super::Lu<T>, NumericError> {
-        super::Lu::new(self)
-    }
-
-    /// Solves `A·x = b` through an LU factorization.
-    ///
-    /// # Errors
-    /// See [`DMatrix::lu`].
-    // vaem-lint: cold allocates the solution it returns; once per dense solve
-    pub fn solve(&self, b: &[T]) -> Result<Vec<T>, NumericError> {
-        self.lu()?.solve(b)
     }
 }
 

@@ -163,12 +163,14 @@ mod tests {
             vec![-1.0, 3.0, 1.0],
             vec![0.5, 0.2, 4.0],
         ]);
-        let b = vec![1.0, 2.0, 3.0];
+        // A square system has one exact solution, which is what an LU
+        // solve would return.
+        let x_true = [1.0, -2.0, 0.5];
+        let b = a.matvec(&x_true);
         let qr = Qr::new(&a).unwrap();
         let x_qr = qr.solve_least_squares(&b).unwrap();
-        let x_lu = a.solve(&b).unwrap();
-        for (p, q) in x_qr.iter().zip(x_lu.iter()) {
-            assert!((p - q).abs() < 1e-10);
+        for (p, q) in x_qr.iter().zip(x_true.iter()) {
+            assert!((p - q).abs() < 1e-12);
         }
     }
 

@@ -7,9 +7,10 @@
 //!   frequency-domain coupled solver.
 //! * [`Scalar`] — a small trait abstracting over `f64` and [`Complex64`] so
 //!   that matrix assembly and linear solvers can be written once.
-//! * [`dense`] — dense matrices plus LU, Cholesky, QR, symmetric Jacobi
+//! * [`dense`] — dense matrices plus Cholesky, QR, symmetric Jacobi
 //!   eigendecomposition and one-sided Jacobi SVD (used by the PFA/wPFA
-//!   variable-reduction step and the Gauss–Hermite rule construction).
+//!   variable-reduction step, the Gauss–Hermite rule construction and the
+//!   least-squares chaos fit).
 //! * [`poly`] — probabilists' Hermite polynomials and Gauss–Hermite
 //!   quadrature rules (the backbone of the spectral stochastic collocation
 //!   method).
@@ -25,10 +26,10 @@
 //!     vec![Complex64::new(2.0, 0.0), Complex64::new(0.0, 1.0)],
 //!     vec![Complex64::new(0.0, -1.0), Complex64::new(3.0, 0.0)],
 //! ]);
-//! let b = vec![Complex64::new(1.0, 0.0), Complex64::new(0.0, 0.0)];
-//! let lu = a.lu().expect("non-singular");
-//! let x = lu.solve(&b).expect("solve");
-//! assert!((a.matvec(&x)[0] - b[0]).abs() < 1e-12);
+//! // `a` is Hermitian.
+//! assert_eq!(a.conj_transpose().as_slice(), a.as_slice());
+//! let y = a.matvec(&[Complex64::ONE, Complex64::ZERO]);
+//! assert_eq!(y, vec![Complex64::new(2.0, 0.0), Complex64::new(0.0, -1.0)]);
 //! ```
 
 #![warn(missing_docs)]

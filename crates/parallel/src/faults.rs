@@ -51,8 +51,7 @@ pub enum FaultSite {
     /// Direct-LU numeric factorization reports a singular pivot.
     Pivot,
     /// The Krylov attempt of a prepared iterative solve reports
-    /// non-convergence before running (exercising the GMRES → direct
-    /// rescue chain).
+    /// non-convergence before running (exercising the direct rescue).
     Krylov,
     /// A successful prepared solve's solution vector is poisoned with NaN
     /// (exercising the non-finite guards downstream).

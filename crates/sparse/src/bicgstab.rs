@@ -10,20 +10,18 @@ use vaem_numeric::{vecops, Scalar};
 /// mode on rotation-dominated operators. Comparing them against the product
 /// of the participating vector norms (instead of an absolute `1e-300`)
 /// detects the *near*-breakdown scale-free, so the solver escalates to the
-/// GMRES/direct fallbacks immediately instead of burning the whole
-/// iteration budget on a diverging recurrence and reporting a spurious
-/// max-iterations failure.
+/// direct rescue immediately instead of burning the whole iteration budget
+/// on a diverging recurrence and reporting a spurious max-iterations
+/// failure.
 const BREAKDOWN_REL: f64 = 1e-14;
 
-/// Options shared by the Krylov solvers ([`BiCgStab`], [`crate::Gmres`]).
+/// Options of the Krylov solver ([`BiCgStab`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KrylovOptions {
     /// Relative residual tolerance `‖b − A·x‖ / ‖b‖`.
     pub tolerance: f64,
     /// Maximum number of iterations.
     pub max_iterations: usize,
-    /// GMRES restart length (ignored by BiCGSTAB).
-    pub restart: usize,
 }
 
 impl Default for KrylovOptions {
@@ -31,7 +29,6 @@ impl Default for KrylovOptions {
         Self {
             tolerance: 1e-10,
             max_iterations: 2000,
-            restart: 60,
         }
     }
 }
@@ -521,7 +518,6 @@ mod tests {
         let solver = BiCgStab::new(KrylovOptions {
             tolerance: 1e-14,
             max_iterations: 2,
-            restart: 10,
         });
         let out = solver.solve(&a, &b, None, None);
         assert!(matches!(out, Err(SparseError::NotConverged { .. })));

@@ -6,8 +6,7 @@ use vaem_numeric::Scalar;
 /// ILU(0) preconditioner: an approximate factorization `A ≈ L·U` that keeps
 /// exactly the sparsity pattern of `A`.
 ///
-/// Used to precondition [`crate::BiCgStab`] and [`crate::Gmres`] on the
-/// coupled FVM systems.
+/// Used to precondition [`crate::BiCgStab`] on the coupled FVM systems.
 ///
 /// # Example
 /// ```

@@ -11,7 +11,7 @@
 //!   products, diagonal extraction, scaling and transposition.
 //! * [`Ilu0`] — incomplete LU factorization with zero fill-in, used as a
 //!   preconditioner.
-//! * [`BiCgStab`] and [`Gmres`] — preconditioned Krylov solvers for the
+//! * [`BiCgStab`] — the preconditioned Krylov solver for the
 //!   non-symmetric complex systems.
 //! * [`SparseLu`] — a left-looking (Gilbert–Peierls style) direct sparse LU
 //!   with partial pivoting, used as a robust fallback and for smaller meshes.
@@ -24,7 +24,7 @@
 //!   degree orderings; [`SymbolicLu`] keeps whichever [`predicted_fill`]
 //!   scores better for the pattern at hand.
 //! * [`LinearSolver`] — a front-end that picks a strategy ([`SolverKind`]:
-//!   `Auto`, with its BiCGSTAB → GMRES → direct-LU fallback chain,
+//!   `Auto`, with its BiCGSTAB → direct-LU rescue chain,
 //!   `DirectLu` or `IluBiCgStab`) and reports [`SolveReport`] statistics.
 //!
 //! # Example
@@ -59,7 +59,6 @@
 mod bicgstab;
 mod csr;
 mod error;
-mod gmres;
 mod ilu;
 mod lu;
 pub mod ordering;
@@ -71,7 +70,6 @@ mod triplet;
 pub use bicgstab::{BiCgStab, BiCgStabWorkspace, KrylovOptions};
 pub use csr::{CsrMatrix, SparsityPattern};
 pub use error::SparseError;
-pub use gmres::{Gmres, GmresWorkspace};
 pub use ilu::Ilu0;
 pub use lu::SparseLu;
 pub use ordering::{amd, predicted_fill, rcm, OrderingKind};
