@@ -29,25 +29,37 @@ pub fn terminal_current(
         .ok_or_else(|| FvmError::Configuration {
             detail: format!("unknown terminal '{terminal}'"),
         })?;
+    Ok(terminal_currents(solver, ac)[k])
+}
+
+/// [`terminal_current`] of every terminal, indexed like
+/// [`crate::TerminalMap`], from one scan over the links.
+///
+/// Each terminal accumulates its links in link order, so every entry is
+/// bit-identical to [`terminal_current`] of that terminal alone.
+// vaem-lint: cold output-side postprocessing; allocates the reported quantities
+pub fn terminal_currents(solver: &CoupledSolver<'_>, ac: &AcSolution) -> Vec<Complex64> {
+    let terminals = solver.terminals();
     let mesh = &solver.structure().mesh;
-    let mut current = Complex64::ZERO;
+    let mut currents = vec![Complex64::ZERO; terminals.terminal_count()];
     for lid in mesh.link_ids() {
         let link = mesh.link(lid);
-        let from_t = solver.terminals().terminal(link.from);
-        let to_t = solver.terminals().terminal(link.to);
+        let from_t = terminals.terminal(link.from);
+        let to_t = terminals.terminal(link.to);
+        // Links inside one conductor, or away from every conductor, carry
+        // no terminal current.
+        if from_t == to_t {
+            continue;
+        }
         let y = ac.admittance_at(lid);
-        match (from_t, to_t) {
-            (Some(a), Some(b)) if a == b => {}
-            (Some(a), _) if a == k => {
-                current += y * (ac.potential_at(link.from) - ac.potential_at(link.to));
-            }
-            (_, Some(b)) if b == k => {
-                current += y * (ac.potential_at(link.to) - ac.potential_at(link.from));
-            }
-            _ => {}
+        if let Some(a) = from_t {
+            currents[a] += y * (ac.potential_at(link.from) - ac.potential_at(link.to));
+        }
+        if let Some(b) = to_t {
+            currents[b] += y * (ac.potential_at(link.to) - ac.potential_at(link.from));
         }
     }
-    Ok(current)
+    currents
 }
 
 /// Complex current (A) crossing the metal–semiconductor interface of the
@@ -137,9 +149,8 @@ pub fn capacitance_column_from(
         });
     }
     let mut out = BTreeMap::new();
-    for k in 0..solver.terminals().terminal_count() {
+    for (k, current) in terminal_currents(solver, ac).into_iter().enumerate() {
         let name = solver.terminals().name(k).to_string();
-        let current = terminal_current(solver, ac, &name)?;
         if !current.re.is_finite() || !current.im.is_finite() {
             return Err(FvmError::NonFinite {
                 detail: format!(
@@ -155,12 +166,25 @@ pub fn capacitance_column_from(
     Ok(out)
 }
 
+/// Columns [`capacitance_matrix`] solves and post-processes at a time: one
+/// lockstep chunk of [`vaem_sparse::PreparedSolver::solve_many`]. Each
+/// solved column holds its own copy of the link-admittance table until it
+/// is reduced to capacitances, so streaming the columns keeps the peak
+/// memory at a few solutions instead of one per terminal.
+const COLUMNS_PER_CHUNK: usize = 4;
+
 /// The full Maxwell capacitance matrix at `frequency`: one column per
 /// terminal, keyed `[driven][measured]`.
 ///
 /// All columns share a single [`CoupledSolver::prepare_ac`] operator, so the
 /// AC assembly and the ILU/LU factorization are done exactly once for the
-/// whole matrix instead of once per terminal.
+/// whole matrix instead of once per terminal. The columns are solved four
+/// at a time through [`crate::AcSweepOperator::solve_terminals`] — in
+/// lockstep against one ILU(0) when the operator is iterative — and each
+/// chunk is reduced to capacitances and dropped before the next is
+/// solved. Every entry is bit-identical to a
+/// [`crate::AcSweepOperator::solve_terminal`] loop followed by
+/// [`capacitance_column_from`].
 ///
 /// # Errors
 /// Propagates AC-solve failures.
@@ -170,11 +194,14 @@ pub fn capacitance_matrix(
     frequency: f64,
 ) -> Result<BTreeMap<String, BTreeMap<String, f64>>, FvmError> {
     let mut operator = solver.prepare_ac(dc, frequency)?;
+    let names: Vec<String> = (0..solver.terminals().terminal_count())
+        .map(|k| solver.terminals().name(k).to_string())
+        .collect();
     let mut out = BTreeMap::new();
-    for k in 0..solver.terminals().terminal_count() {
-        let driven = solver.terminals().name(k).to_string();
-        let ac = operator.solve_terminal(&driven)?;
-        out.insert(driven, capacitance_column_from(solver, &ac)?);
+    for chunk in names.chunks(COLUMNS_PER_CHUNK) {
+        for (driven, ac) in chunk.iter().zip(operator.solve_terminals(chunk)?) {
+            out.insert(driven.clone(), capacitance_column_from(solver, &ac)?);
+        }
     }
     Ok(out)
 }
@@ -269,18 +296,20 @@ pub fn coupling_ratio_spectrum(
     aggressor: &str,
     victim: &str,
 ) -> Result<Vec<(f64, f64)>, FvmError> {
-    for terminal in [aggressor, victim] {
-        if solver.terminals().index_of(terminal).is_none() {
-            return Err(FvmError::Configuration {
+    let index = |terminal: &str| {
+        solver
+            .terminals()
+            .index_of(terminal)
+            .ok_or_else(|| FvmError::Configuration {
                 detail: format!("unknown terminal '{terminal}'"),
-            });
-        }
-    }
+            })
+    };
+    let (aggressor_index, victim_index) = (index(aggressor)?, index(victim)?);
     sweep
         .iter()
         .map(|ac| {
-            let i_aggr = terminal_current(solver, ac, aggressor)?;
-            let i_victim = terminal_current(solver, ac, victim)?;
+            let currents = terminal_currents(solver, ac);
+            let (i_aggr, i_victim) = (currents[aggressor_index], currents[victim_index]);
             for (name, i) in [(aggressor, i_aggr), (victim, i_victim)] {
                 if !i.re.is_finite() || !i.im.is_finite() {
                     return Err(FvmError::NonFinite {
@@ -363,9 +392,8 @@ pub fn dc_potential_slice(
 /// conservation and is used as a sanity diagnostic.
 pub fn current_balance(solver: &CoupledSolver<'_>, ac: &AcSolution) -> Result<Complex64, FvmError> {
     let mut total = Complex64::ZERO;
-    for k in 0..solver.terminals().terminal_count() {
-        let name = solver.terminals().name(k).to_string();
-        total += terminal_current(solver, ac, &name)?;
+    for current in terminal_currents(solver, ac) {
+        total += current;
     }
     Ok(total)
 }
@@ -463,6 +491,74 @@ mod tests {
                     "C[{driven}][{name}] = {c} vs {r}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn capacitance_matrix_equals_a_solve_terminal_loop_bit_for_bit() {
+        use vaem_mesh::structures::tsv_array::{build_tsv_array_structure, TsvArrayConfig};
+        // The 3×3 array runs ILU(0)+BiCGSTAB: nine columns make two full
+        // lockstep chunks and a one-column remainder. The tiny plug runs
+        // the direct LU, column by column.
+        let array = build_tsv_array_structure(&TsvArrayConfig::coarse(3, 3)).unwrap();
+        let plug = build_metalplug_structure(&MetalPlugConfig::tiny());
+        for (s, strategy) in [(array, "ilu0-bicgstab"), (plug, "sparse-lu")] {
+            let semis = s.semiconductor_nodes();
+            let doping = DopingProfile::uniform_donor(s.mesh.node_count(), &semis, 1.0e5);
+            let solver = CoupledSolver::new(&s, &doping, SolverOptions::default()).unwrap();
+            let dc = solver.solve_dc().unwrap();
+            let matrix = capacitance_matrix(&solver, &dc, 1.0e9).unwrap();
+            assert_eq!(matrix.len(), solver.terminals().terminal_count());
+            let mut operator = solver.prepare_ac(&dc, 1.0e9).unwrap();
+            for k in 0..solver.terminals().terminal_count() {
+                let driven = solver.terminals().name(k);
+                let ac = operator.solve_terminal(driven).unwrap();
+                assert_eq!(ac.solver_strategy, strategy);
+                let reference = capacitance_column_from(&solver, &ac).unwrap();
+                let bits = |column: &BTreeMap<String, f64>| {
+                    column
+                        .iter()
+                        .map(|(name, c)| (name.clone(), c.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&matrix[driven]), bits(&reference), "column {driven}");
+            }
+        }
+    }
+
+    #[test]
+    fn terminal_currents_equal_per_terminal_scans() {
+        let (s, doping) = coarse_setup();
+        let solver = CoupledSolver::new(&s, &doping, SolverOptions::default()).unwrap();
+        let dc = solver.solve_dc().unwrap();
+        let ac = solver.solve_ac(&dc, "plug1", 1.0e9).unwrap();
+        let currents = terminal_currents(&solver, &ac);
+        assert_eq!(currents.len(), solver.terminals().terminal_count());
+        for (k, current) in currents.iter().enumerate() {
+            // The per-terminal scan this replaced, kept here as the oracle.
+            let mesh = &solver.structure().mesh;
+            let mut expected = Complex64::ZERO;
+            for lid in mesh.link_ids() {
+                let link = mesh.link(lid);
+                let y = ac.admittance_at(lid);
+                match (
+                    solver.terminals().terminal(link.from),
+                    solver.terminals().terminal(link.to),
+                ) {
+                    (Some(a), Some(b)) if a == b => {}
+                    (Some(a), _) if a == k => {
+                        expected += y * (ac.potential_at(link.from) - ac.potential_at(link.to));
+                    }
+                    (_, Some(b)) if b == k => {
+                        expected += y * (ac.potential_at(link.to) - ac.potential_at(link.from));
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!(current.re.to_bits(), expected.re.to_bits(), "terminal {k}");
+            assert_eq!(current.im.to_bits(), expected.im.to_bits(), "terminal {k}");
+            let name = solver.terminals().name(k);
+            assert_eq!(terminal_current(&solver, &ac, name).unwrap(), *current);
         }
     }
 

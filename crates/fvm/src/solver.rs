@@ -10,8 +10,8 @@ use vaem_mesh::{Axis, LinkId, Material, NodeId, Structure};
 use vaem_numeric::{Complex64, Scalar};
 use vaem_physics::{constants, DopingProfile, MaterialTable, SiliconParams};
 use vaem_sparse::{
-    CsrMatrix, IluSeed, LinearSolver, PreparedSolver, SolverKind, SparsityPattern, SymbolicLu,
-    TripletMatrix,
+    CsrMatrix, IluSeed, LinearSolver, PreparedSolver, SolveReport, SolverKind, SparsityPattern,
+    SymbolicLu, TripletMatrix,
 };
 
 /// Electromagnetic modelling depth of the AC stage.
@@ -65,9 +65,10 @@ impl Default for SolverOptions {
 
 /// How a solver uses the donor factorizations published on its shared
 /// [`SolverTopology`]: the symbolic LU phase (ordering selection + pivot
-/// structure), so direct factorizations are numeric-only, and the ILU(0)
-/// values, so iterative strategies start from the donor's preconditioner
-/// (their lazy refresh policy rebuilding only when it degrades).
+/// structure), so direct factorizations are numeric-only, and the DC
+/// Jacobian's ILU(0) values, so an iterative Newton solve starts from the
+/// donor's preconditioner (its lazy refresh policy rebuilding only when it
+/// degrades).
 ///
 /// Seeded direct results are bit-identical to unseeded ones whenever an
 /// unseeded factorization would pick the donor's pivot sequence. Otherwise
@@ -96,20 +97,18 @@ pub enum Seeding {
 /// The cross-sample state of one operator (the DC Jacobian or the AC
 /// operator) on a shared [`SolverTopology`]: its sparsity pattern (the
 /// unknown ordering is topology-only, so it is shared across samples and
-/// iterations), the donor symbolic LU and the donor ILU(0).
+/// iterations) and the donor symbolic LU.
 ///
-/// Both donors are write-once: the first solve that prepares the matching
+/// The donor is write-once: the first solve that prepares a direct
 /// strategy and publishes — the nominal sample, when the analysis layer
 /// solves it before fanning the samples out — fills the slot for good, and
 /// every later solver's first factorization is seeded from it. A seeded
 /// direct factorization whose pivots go stale re-pivots locally and is
-/// counted in `stale`; an ILU(0) recipient's lazy refresh policy decides
-/// locally if and when to rebuild from its own values.
+/// counted in `stale`.
 #[derive(Debug, Default)]
-struct SharedOperator<T: Scalar> {
+struct SharedOperator {
     pattern: OnceLock<SparsityPattern>,
     symbolic: OnceLock<SymbolicLu>,
-    ilu: OnceLock<IluSeed<T>>,
     /// Stale-pivot re-pivots reported by every solver of this operator.
     stale: AtomicU64,
 }
@@ -125,18 +124,20 @@ struct OperatorState<T: Scalar> {
     reported_stale: u64,
 }
 
-impl<T: Scalar> SharedOperator<T> {
+impl SharedOperator {
     /// Assembles `triplets` into `state`'s matrix and factorizes it. The
     /// first call builds the CSR on the shared pattern (publishing the
     /// pattern when none is cached) and prepares the linear solver, seeded
-    /// from the published donors unless `seeding` is off; later calls only
-    /// re-assemble the values and refactorize numerically.
-    fn factor<'p>(
+    /// from the published symbolic donor and from `ilu` unless `seeding` is
+    /// off; later calls only re-assemble the values and refactorize
+    /// numerically.
+    fn factor<'p, T: Scalar>(
         &self,
         state: &'p mut OperatorState<T>,
         triplets: &TripletMatrix<T>,
         linear: &LinearSolver,
         seeding: Seeding,
+        ilu: Option<&IluSeed<T>>,
     ) -> Result<&'p mut PreparedSolver<T>, FvmError> {
         let matrix = match state.matrix.as_mut() {
             Some(cached) => {
@@ -168,7 +169,7 @@ impl<T: Scalar> SharedOperator<T> {
             None => {
                 let (symbolic, ilu) = match seeding {
                     Seeding::Off => (None, None),
-                    Seeding::Consume | Seeding::Publish => (self.symbolic.get(), self.ilu.get()),
+                    Seeding::Consume | Seeding::Publish => (self.symbolic.get(), ilu),
                 };
                 let p = linear.prepare_seeded(matrix, symbolic, ilu)?;
                 Ok(state.prepared.insert(p))
@@ -177,9 +178,9 @@ impl<T: Scalar> SharedOperator<T> {
     }
 
     /// Reports `state`'s new stale-pivot re-pivots into the shared
-    /// statistics and, when `seeding` publishes, fills any empty donor slot
-    /// from it.
-    fn report(&self, state: &mut OperatorState<T>, seeding: Seeding) {
+    /// statistics and, when `seeding` publishes, fills an empty symbolic
+    /// donor slot from it.
+    fn report<T: Scalar>(&self, state: &mut OperatorState<T>, seeding: Seeding) {
         let Some(prepared) = &state.prepared else {
             return;
         };
@@ -195,11 +196,6 @@ impl<T: Scalar> SharedOperator<T> {
         }
         if let Some(symbolic) = prepared.direct_symbolic().filter(|s| s.has_structure()) {
             self.symbolic.get_or_init(|| symbolic.seed_from());
-        }
-        if self.ilu.get().is_none() {
-            if let Some(seed) = prepared.ilu_donor() {
-                self.ilu.get_or_init(|| seed);
-            }
         }
     }
 }
@@ -226,9 +222,16 @@ pub struct SolverTopology {
     node_count: usize,
     link_count: usize,
     /// The DC Newton Jacobian.
-    dc: SharedOperator<f64>,
+    dc: SharedOperator,
+    /// The DC Jacobian's write-once ILU(0) donor, published after a
+    /// Newton solve converged, so it carries the donor's healthy iteration
+    /// baseline. The AC operator has no ILU(0) donor: it prepares at its
+    /// first frequency, before any solve, so a donation would carry no
+    /// baseline and every recipient would rebuild it from its own values
+    /// before its first solve anyway.
+    dc_ilu: OnceLock<IluSeed<f64>>,
     /// The AC (electro-quasi-static) operator.
-    ac: SharedOperator<Complex64>,
+    ac: SharedOperator,
 }
 
 /// Aggregate symbolic-reuse statistics of one shared [`SolverTopology`]
@@ -241,7 +244,9 @@ pub struct SeedReuseStats {
     pub ac_seeded: bool,
     /// A DC donor ILU(0) (Krylov-side seed) has been published.
     pub dc_ilu_seeded: bool,
-    /// An AC donor ILU(0) has been published.
+    /// Always `false`: the AC operator publishes no ILU(0) donor (see
+    /// [`SolverTopology`]). Kept so readers of these statistics keep their
+    /// schema.
     pub ac_ilu_seeded: bool,
     /// Total stale-pivot re-pivoting fallbacks across every DC solve that
     /// reported into this topology.
@@ -289,6 +294,7 @@ impl SolverTopology {
             node_count: mesh.node_count(),
             link_count: mesh.link_count(),
             dc: SharedOperator::default(),
+            dc_ilu: OnceLock::new(),
             ac: SharedOperator::default(),
         })
     }
@@ -305,8 +311,8 @@ impl SolverTopology {
         SeedReuseStats {
             dc_seeded: self.dc.symbolic.get().is_some(),
             ac_seeded: self.ac.symbolic.get().is_some(),
-            dc_ilu_seeded: self.dc.ilu.get().is_some(),
-            ac_ilu_seeded: self.ac.ilu.get().is_some(),
+            dc_ilu_seeded: self.dc_ilu.get().is_some(),
+            ac_ilu_seeded: false,
             dc_stale_refactorizations: self.dc.stale.load(Ordering::Relaxed),
             ac_stale_refactorizations: self.ac.stale.load(Ordering::Relaxed),
             dc_donor_refreshes: 0,
@@ -610,7 +616,13 @@ impl<'a> CoupledSolver<'a> {
             let (mut delta, _report) = self
                 .topology
                 .dc
-                .factor(&mut jacobian, &jac, &linear, self.options.seeding)?
+                .factor(
+                    &mut jacobian,
+                    &jac,
+                    &linear,
+                    self.options.seeding,
+                    self.topology.dc_ilu.get(),
+                )?
                 .solve(&rhs)?;
 
             // A non-finite update poisons the operating point silently:
@@ -660,6 +672,11 @@ impl<'a> CoupledSolver<'a> {
         // publisher wins for good — the nominal, when the analysis pre-runs
         // it) and report stale-pivot re-pivots into the shared statistics.
         self.topology.dc.report(&mut jacobian, self.options.seeding);
+        if self.options.seeding == Seeding::Publish && self.topology.dc_ilu.get().is_none() {
+            if let Some(seed) = jacobian.prepared.as_ref().and_then(|p| p.ilu_donor()) {
+                self.topology.dc_ilu.get_or_init(|| seed);
+            }
+        }
 
         // Carrier densities from the converged potential.
         // vaem-lint: allow(H1) carrier-density output arrays, once per converged DC solve
@@ -971,9 +988,10 @@ impl AcSweepOperator<'_, '_> {
             }
             self.triplets.push(ui, ui, diag);
         }
-        // Only the first frequency prepares (seeded from the donors the
-        // nominal sample's sweep published); later points merely
-        // refactorize this operator's own (possibly re-recorded) structure.
+        // Only the first frequency prepares (seeded from the symbolic donor
+        // the nominal sample's sweep published; there is no AC ILU(0)
+        // donor); later points merely refactorize this operator's own
+        // (possibly re-recorded) structure.
         let linear = LinearSolver::new(solver.options.linear_solver);
         let ac = &solver.topology.ac;
         ac.factor(
@@ -981,6 +999,7 @@ impl AcSweepOperator<'_, '_> {
             &self.triplets,
             &linear,
             solver.options.seeding,
+            None,
         )?;
         ac.report(&mut self.operator, solver.options.seeding);
         self.omega = omega;
@@ -988,14 +1007,51 @@ impl AcSweepOperator<'_, '_> {
     }
 
     /// Solves for a 1 V excitation on `driven_terminal` with every other
-    /// contact grounded.
+    /// contact grounded: the one-element case of
+    /// [`AcSweepOperator::solve_terminals`].
     ///
     /// # Errors
     /// Same conditions as [`AcSweepOperator::solve`].
     pub fn solve_terminal(&mut self, driven_terminal: &str) -> Result<AcSolution, FvmError> {
-        let mut excitations = BTreeMap::new();
-        excitations.insert(driven_terminal.to_string(), Complex64::ONE);
-        self.solve(&excitations, driven_terminal)
+        let mut solved =
+            self.solve_terminals(std::slice::from_ref(&driven_terminal.to_string()))?;
+        Ok(solved.remove(0))
+    }
+
+    /// Solves one column per entry of `driven`: a 1 V excitation on that
+    /// terminal with every other contact grounded, in order.
+    ///
+    /// The columns share this operator's factorization and go through
+    /// [`PreparedSolver::solve_many`], which runs them in lockstep chunks
+    /// against one ILU(0) when the operator is iterative. Every solution is
+    /// bit-identical to a [`AcSweepOperator::solve_terminal`] call for its
+    /// terminal. All returned solutions are alive at once, each with its
+    /// own copy of the link-admittance table, so callers with many
+    /// terminals (see [`crate::postprocess::capacitance_matrix`]) pass a
+    /// few at a time.
+    ///
+    /// # Errors
+    /// Same conditions as [`AcSweepOperator::solve`]; the first failing
+    /// column fails the call.
+    pub fn solve_terminals(&mut self, driven: &[String]) -> Result<Vec<AcSolution>, FvmError> {
+        // A missing frequency is reported before the excitations are checked.
+        self.prepared()?;
+        let excitations: Vec<BTreeMap<String, Complex64>> = driven
+            .iter()
+            .map(|name| BTreeMap::from([(name.clone(), Complex64::ONE)]))
+            .collect();
+        let rhs = excitations
+            .iter()
+            .map(|e| self.rhs_for(e))
+            .collect::<Result<Vec<_>, _>>()?;
+        let solved = self.prepared()?.solve_many(&rhs)?;
+        drop(rhs);
+        excitations
+            .iter()
+            .zip(driven)
+            .zip(solved)
+            .map(|((e, name), (solution, report))| self.solution_from(e, name, &solution, &report))
+            .collect()
     }
 
     /// Solves the prepared system for one set of complex contact excitations
@@ -1075,37 +1131,71 @@ impl AcSweepOperator<'_, '_> {
         driven_label: &str,
         guess: Option<&[Complex64]>,
     ) -> Result<(AcSolution, Vec<Complex64>), FvmError> {
-        let solver = self.solver;
-        let prepared = self
-            .operator
+        // A missing frequency is reported before the excitations are checked.
+        self.prepared()?;
+        let rhs = self.rhs_for(excitations)?;
+        let (solution, report) = self.prepared()?.solve_with_guess(&rhs, guess)?;
+        let ac = self.solution_from(excitations, driven_label, &solution, &report)?;
+        Ok((ac, solution))
+    }
+
+    /// The prepared linear solver of the current frequency.
+    fn prepared(&mut self) -> Result<&mut PreparedSolver<Complex64>, FvmError> {
+        self.operator
             .prepared
             .as_mut()
             .ok_or_else(|| FvmError::Configuration {
                 // vaem-lint: allow(H1) configuration-error message, failure path only
                 detail: "AC operator has no frequency set (call set_frequency first)".to_string(),
-            })?;
+            })
+    }
+
+    /// The applied potential of `contact` under `excitations` (grounded
+    /// when unlisted).
+    fn excitation_of(
+        &self,
+        excitations: &BTreeMap<String, Complex64>,
+        contact: usize,
+    ) -> Complex64 {
+        excitations
+            .get(self.solver.terminals().name(contact))
+            .copied()
+            .unwrap_or(Complex64::ZERO)
+    }
+
+    /// The right-hand side of one set of contact excitations: couplings of
+    /// the unknown rows into their Dirichlet neighbours.
+    fn rhs_for(
+        &self,
+        excitations: &BTreeMap<String, Complex64>,
+    ) -> Result<Vec<Complex64>, FvmError> {
         for name in excitations.keys() {
-            if solver.terminals().index_of(name).is_none() {
+            if self.solver.terminals().index_of(name).is_none() {
                 return Err(FvmError::Configuration {
                     // vaem-lint: allow(H1) unknown-terminal error message, failure path only
                     detail: format!("unknown terminal '{name}'"),
                 });
             }
         }
-        let excitation_of = |contact: usize| -> Complex64 {
-            excitations
-                .get(solver.terminals().name(contact))
-                .copied()
-                .unwrap_or(Complex64::ZERO)
-        };
-
         // vaem-lint: allow(H1) AC right-hand side sized once per frequency solve
         let mut rhs = vec![Complex64::ZERO; self.unknowns.len()];
         for &(ui, lid, contact) in &self.boundary {
-            rhs[ui] -= self.link_admittance[lid.index()] * excitation_of(contact);
+            rhs[ui] -= self.link_admittance[lid.index()] * self.excitation_of(excitations, contact);
         }
-        let (solution, report) = prepared.solve_with_guess(&rhs, guess)?;
+        Ok(rhs)
+    }
 
+    /// Assembles the [`AcSolution`] of one solved column: scatters the
+    /// unknowns' `solution` into node space next to the contact
+    /// excitations and, in full-wave mode, solves the vector potential.
+    fn solution_from(
+        &self,
+        excitations: &BTreeMap<String, Complex64>,
+        driven_label: &str,
+        solution: &[Complex64],
+        report: &SolveReport,
+    ) -> Result<AcSolution, FvmError> {
+        let solver = self.solver;
         let mesh = &solver.structure.mesh;
         // vaem-lint: allow(H1) solution scatter into node space, once per frequency solve
         let mut potential = vec![Complex64::ZERO; mesh.node_count()];
@@ -1116,7 +1206,7 @@ impl AcSweepOperator<'_, '_> {
                 None => {
                     let contact =
                         solver.topology.contact_of[i].expect("non-unknown node is a contact");
-                    excitation_of(contact)
+                    self.excitation_of(excitations, contact)
                 }
             };
         }
@@ -1128,7 +1218,7 @@ impl AcSweepOperator<'_, '_> {
             }
         };
 
-        let ac = AcSolution {
+        Ok(AcSolution {
             potential,
             // vaem-lint: allow(H2) the solution record owns its admittance table; one copy per frequency solve
             link_admittance: self.link_admittance.clone(),
@@ -1138,8 +1228,7 @@ impl AcSweepOperator<'_, '_> {
             driven_terminal: driven_label.to_string(),
             solver_strategy: report.strategy,
             linear_residual: report.residual_norm,
-        };
-        Ok((ac, solution))
+        })
     }
 }
 
@@ -1371,28 +1460,40 @@ mod tests {
         let donor =
             CoupledSolver::with_topology(&s, &doping, options.clone(), topology.clone()).unwrap();
         let dc_donor = donor.solve_dc().unwrap();
-        let ac_donor = donor.solve_ac(&dc_donor, "top", 1.0e9).unwrap();
+        let _ = donor.solve_ac(&dc_donor, "top", 1.0e9).unwrap();
         let stats = topology.seed_stats();
-        assert!(
-            stats.dc_ilu_seeded && stats.ac_ilu_seeded,
-            "iterative solves must donate their ILU(0): {stats:?}"
-        );
+        // The converged Newton solve donates its ILU(0); the AC operator
+        // prepares before any solve, so it publishes none.
+        assert!(stats.dc_ilu_seeded, "DC must donate its ILU(0): {stats:?}");
+        assert!(!stats.ac_ilu_seeded, "AC must not donate: {stats:?}");
         // The direct donors stay empty — there was no symbolic phase.
         assert!(!stats.dc_seeded && !stats.ac_seeded, "stats {stats:?}");
 
-        // A sibling on the shared topology starts from the donated
-        // preconditioner and reproduces the physics.
-        let seeded = CoupledSolver::with_topology(&s, &doping, options, topology.clone()).unwrap();
+        // A sibling on the shared topology starts its Newton solve from the
+        // donated preconditioner and reproduces the physics...
+        let seeded =
+            CoupledSolver::with_topology(&s, &doping, options.clone(), topology.clone()).unwrap();
         let dc_seeded = seeded.solve_dc().unwrap();
-        let ac_seeded = seeded.solve_ac(&dc_seeded, "top", 1.0e9).unwrap();
         for (a, b) in dc_seeded.potential.iter().zip(dc_donor.potential.iter()) {
             assert!((a - b).abs() < 1e-7, "seeded DC diverged: {a} vs {b}");
         }
-        let mut max_diff = 0.0_f64;
-        for (a, b) in ac_seeded.potential.iter().zip(ac_donor.potential.iter()) {
-            max_diff = max_diff.max((*a - *b).abs());
-        }
-        assert!(max_diff < 1e-7, "seeded AC diverged by {max_diff:.3e}");
+        // ...while its AC operator builds its own ILU(0): on the same
+        // operating point it matches an unseeded solver bit for bit.
+        let ac_seeded = seeded.solve_ac(&dc_seeded, "top", 1.0e9).unwrap();
+        let unseeded = SolverOptions {
+            seeding: Seeding::Off,
+            ..options
+        };
+        let private = CoupledSolver::new(&s, &doping, unseeded).unwrap();
+        let ac_ref = private.solve_ac(&dc_seeded, "top", 1.0e9).unwrap();
+        let bits = |ac: &AcSolution| {
+            ac.potential
+                .iter()
+                .flat_map(|v| [v.re.to_bits(), v.im.to_bits()])
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&ac_seeded), bits(&ac_ref));
+        assert!(!topology.seed_stats().ac_ilu_seeded);
     }
 
     #[test]
@@ -1477,13 +1578,13 @@ mod tests {
     /// One fresh direct solver factoring `entries` against `slot` and
     /// reporting into it, as a DC solve does; returns its stale re-pivots.
     fn solve_slot<T: Scalar>(
-        slot: &SharedOperator<T>,
+        slot: &SharedOperator,
         entries: &[(usize, usize, f64)],
         seeding: Seeding,
     ) -> u64 {
         let mut state = OperatorState::default();
         let linear = LinearSolver::new(SolverKind::DirectLu);
-        slot.factor(&mut state, &triplets(entries), &linear, seeding)
+        slot.factor(&mut state, &triplets::<T>(entries), &linear, seeding, None)
             .unwrap();
         slot.report(&mut state, seeding);
         state.reported_stale
@@ -1495,9 +1596,12 @@ mod tests {
         // factorization goes stale re-pivots locally and is counted, but the
         // first donor stays for good.
         let topology = SolverTopology::build(&parallel_plate(1.0)).unwrap();
-        assert_eq!(solve_slot(&topology.dc, &DONOR, Seeding::Publish), 0);
+        assert_eq!(solve_slot::<f64>(&topology.dc, &DONOR, Seeding::Publish), 0);
         for _ in 0..3 {
-            assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Publish), 1);
+            assert_eq!(
+                solve_slot::<f64>(&topology.dc, &HOSTILE, Seeding::Publish),
+                1
+            );
         }
         let stats = topology.seed_stats();
         assert!(stats.dc_seeded);
@@ -1506,9 +1610,12 @@ mod tests {
         // Still the nominal's diagonal pivots: they fit a nominal-like
         // consumer and stay stale for the excursion. An unseeded solve
         // ignores them.
-        assert_eq!(solve_slot(&topology.dc, &DONOR, Seeding::Consume), 0);
-        assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Consume), 1);
-        assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Off), 0);
+        assert_eq!(solve_slot::<f64>(&topology.dc, &DONOR, Seeding::Consume), 0);
+        assert_eq!(
+            solve_slot::<f64>(&topology.dc, &HOSTILE, Seeding::Consume),
+            1
+        );
+        assert_eq!(solve_slot::<f64>(&topology.dc, &HOSTILE, Seeding::Off), 0);
     }
 
     #[test]
@@ -1516,15 +1623,21 @@ mod tests {
         // No stale rate ever refreshes a donor: even when every later solve
         // re-pivots, consumers and publishers alike, the first donor stays.
         let topology = SolverTopology::build(&parallel_plate(1.0)).unwrap();
-        assert_eq!(solve_slot(&topology.ac, &DONOR, Seeding::Publish), 0);
+        assert_eq!(
+            solve_slot::<Complex64>(&topology.ac, &DONOR, Seeding::Publish),
+            0
+        );
         for seeding in [Seeding::Consume, Seeding::Publish, Seeding::Consume] {
-            assert_eq!(solve_slot(&topology.ac, &HOSTILE, seeding), 1);
+            assert_eq!(solve_slot::<Complex64>(&topology.ac, &HOSTILE, seeding), 1);
         }
         let stats = topology.seed_stats();
         assert!(stats.ac_seeded);
         assert_eq!(stats.ac_donor_refreshes, 0);
         assert_eq!(stats.ac_stale_refactorizations, 3);
-        assert_eq!(solve_slot(&topology.ac, &DONOR, Seeding::Consume), 0);
+        assert_eq!(
+            solve_slot::<Complex64>(&topology.ac, &DONOR, Seeding::Consume),
+            0
+        );
     }
 
     #[test]
@@ -1535,22 +1648,31 @@ mod tests {
         // donor a non-publisher sees is always the nominal's.
         let topology = SolverTopology::build(&parallel_plate(1.0)).unwrap();
         // Non-publishers never write, not even into an empty slot.
-        assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Consume), 0);
-        assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Off), 0);
+        assert_eq!(
+            solve_slot::<f64>(&topology.dc, &HOSTILE, Seeding::Consume),
+            0
+        );
+        assert_eq!(solve_slot::<f64>(&topology.dc, &HOSTILE, Seeding::Off), 0);
         assert!(!topology.seed_stats().dc_seeded);
 
-        assert_eq!(solve_slot(&topology.dc, &DONOR, Seeding::Publish), 0);
-        assert_eq!(solve_slot(&topology.dc, &DONOR, Seeding::Consume), 0);
+        assert_eq!(solve_slot::<f64>(&topology.dc, &DONOR, Seeding::Publish), 0);
+        assert_eq!(solve_slot::<f64>(&topology.dc, &DONOR, Seeding::Consume), 0);
         for _ in 0..4 {
-            assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Consume), 1);
+            assert_eq!(
+                solve_slot::<f64>(&topology.dc, &HOSTILE, Seeding::Consume),
+                1
+            );
         }
         let stats = topology.seed_stats();
         assert!(stats.dc_seeded, "non-publishers must not touch the donor");
         assert_eq!(stats.dc_donor_refreshes, 0);
         assert_eq!(stats.dc_stale_refactorizations, 4);
         // The donor still holds the nominal's pivots.
-        assert_eq!(solve_slot(&topology.dc, &DONOR, Seeding::Consume), 0);
-        assert_eq!(solve_slot(&topology.dc, &HOSTILE, Seeding::Consume), 1);
+        assert_eq!(solve_slot::<f64>(&topology.dc, &DONOR, Seeding::Consume), 0);
+        assert_eq!(
+            solve_slot::<f64>(&topology.dc, &HOSTILE, Seeding::Consume),
+            1
+        );
     }
 
     #[test]
@@ -1559,14 +1681,17 @@ mod tests {
         // only at its first frequency, so a 9-point sweep re-pivots once and
         // is counted once, not once per point.
         let topology = SolverTopology::build(&parallel_plate(1.0)).unwrap();
-        assert_eq!(solve_slot(&topology.ac, &DONOR, Seeding::Publish), 0);
+        assert_eq!(
+            solve_slot::<Complex64>(&topology.ac, &DONOR, Seeding::Publish),
+            0
+        );
         let linear = LinearSolver::new(SolverKind::DirectLu);
         let hostile = triplets::<Complex64>(&HOSTILE);
         let mut sweep = OperatorState::default();
         for _ in 0..9 {
             topology
                 .ac
-                .factor(&mut sweep, &hostile, &linear, Seeding::Consume)
+                .factor(&mut sweep, &hostile, &linear, Seeding::Consume, None)
                 .unwrap();
             topology.ac.report(&mut sweep, Seeding::Consume);
         }
@@ -1574,7 +1699,10 @@ mod tests {
         assert!(stats.ac_seeded);
         assert_eq!(stats.ac_stale_refactorizations, 1);
         assert_eq!(stats.ac_donor_refreshes, 0);
-        assert_eq!(solve_slot(&topology.ac, &DONOR, Seeding::Consume), 0);
+        assert_eq!(
+            solve_slot::<Complex64>(&topology.ac, &DONOR, Seeding::Consume),
+            0
+        );
     }
 
     #[test]

@@ -273,14 +273,37 @@ impl<T: Scalar> CsrMatrix<T> {
     /// # Panics
     /// Panics on dimension mismatch.
     pub fn matvec_into(&self, x: &[T], y: &mut [T]) {
-        assert_eq!(x.len(), self.cols, "matvec_into: dimension mismatch");
-        assert_eq!(y.len(), self.rows, "matvec_into: output length mismatch");
-        for r in 0..self.rows {
-            let mut acc = T::zero();
+        self.matvec_cols_into::<1>(x, y);
+    }
+
+    /// `K` matrix–vector products in one pass over the values and indices:
+    /// `x` holds `K` column-major vectors of length `cols()` and `y`
+    /// receives their `K` products, column-major, each of length `rows()`.
+    ///
+    /// Every column is accumulated in exactly [`CsrMatrix::matvec_into`]'s
+    /// per-row order, so column `j` of `y` is bit-identical to a
+    /// single-vector product of column `j` of `x`. On the FVM stencils
+    /// (~7 entries per row) one product is bound by per-row latency rather
+    /// than flops, so sharing the row traversal between `K` vectors is
+    /// cheaper per vector than `K` separate passes.
+    ///
+    /// # Panics
+    /// Panics when `x.len() != K·cols()` or `y.len() != K·rows()`.
+    pub fn matvec_cols_into<const K: usize>(&self, x: &[T], y: &mut [T]) {
+        let (n_in, n_out) = (self.cols, self.rows);
+        assert_eq!(x.len(), K * n_in, "matvec_into: dimension mismatch");
+        assert_eq!(y.len(), K * n_out, "matvec_into: output length mismatch");
+        for r in 0..n_out {
+            let mut acc = [T::zero(); K];
             for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                acc += self.values[k] * x[self.col_idx[k]];
+                let (v, c) = (self.values[k], self.col_idx[k]);
+                for (j, a) in acc.iter_mut().enumerate() {
+                    *a += v * x[j * n_in + c];
+                }
             }
-            y[r] = acc;
+            for (j, a) in acc.into_iter().enumerate() {
+                y[j * n_out + r] = a;
+            }
         }
     }
 

@@ -131,25 +131,52 @@ impl<T: Scalar> Ilu0<T> {
     /// # Panics
     /// Panics on length mismatches.
     pub fn apply_into(&self, r: &[T], z: &mut [T]) {
-        assert_eq!(r.len(), self.n, "ilu apply: dimension mismatch");
-        assert_eq!(z.len(), self.n, "ilu apply: output length mismatch");
+        self.apply_cols_into::<1>(r, z);
+    }
+
+    /// Applies the preconditioner to `K` column-major vectors in one pass
+    /// over the factors (`r` and `z` each hold `K` columns of length
+    /// [`Ilu0::dim`] and must not alias).
+    ///
+    /// Every column is accumulated in exactly [`Ilu0::apply_into`]'s
+    /// per-row order, so column `j` of `z` is bit-identical to a
+    /// single-vector apply of column `j` of `r`; the triangular sweeps are
+    /// bound by per-row latency, which the `K` columns share.
+    ///
+    /// # Panics
+    /// Panics when `r` or `z` does not hold `K·dim()` entries.
+    pub fn apply_cols_into<const K: usize>(&self, r: &[T], z: &mut [T]) {
+        let n = self.n;
+        assert_eq!(r.len(), K * n, "ilu apply: dimension mismatch");
+        assert_eq!(z.len(), K * n, "ilu apply: output length mismatch");
         // Forward solve with unit lower-triangular L; the strictly-lower
         // entries only reference already-computed z components, so z can be
         // filled directly from r.
-        for i in 0..self.n {
-            let mut acc = r[i];
+        for i in 0..n {
+            let mut acc: [T; K] = std::array::from_fn(|j| r[j * n + i]);
             for k in self.row_ptr[i]..self.diag_pos[i] {
-                acc -= self.values[k] * z[self.col_idx[k]];
+                let (v, c) = (self.values[k], self.col_idx[k]);
+                for (j, a) in acc.iter_mut().enumerate() {
+                    *a -= v * z[j * n + c];
+                }
             }
-            z[i] = acc;
+            for (j, a) in acc.into_iter().enumerate() {
+                z[j * n + i] = a;
+            }
         }
         // Backward solve with U.
-        for i in (0..self.n).rev() {
-            let mut acc = z[i];
+        for i in (0..n).rev() {
+            let mut acc: [T; K] = std::array::from_fn(|j| z[j * n + i]);
             for k in (self.diag_pos[i] + 1)..self.row_ptr[i + 1] {
-                acc -= self.values[k] * z[self.col_idx[k]];
+                let (v, c) = (self.values[k], self.col_idx[k]);
+                for (j, a) in acc.iter_mut().enumerate() {
+                    *a -= v * z[j * n + c];
+                }
             }
-            z[i] = acc / self.values[self.diag_pos[i]];
+            let pivot = self.values[self.diag_pos[i]];
+            for (j, a) in acc.into_iter().enumerate() {
+                z[j * n + i] = a / pivot;
+            }
         }
     }
 }
